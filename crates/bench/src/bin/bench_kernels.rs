@@ -25,7 +25,7 @@ use ipv6_study_stats::testgen::TestGen;
 use ipv6_study_telemetry::columns::ColumnStore;
 use ipv6_study_telemetry::intern::{EntityTables, IpId, IpTable, UserTable};
 use ipv6_study_telemetry::kernels::{
-    mask_eq_u32, mask_ts_window, radix_sort_perm_u32, radix_sort_u64, scratch_stats,
+    mask_eq_u32, mask_ts_window, radix_sort_perm_u32, scratch_stats,
 };
 use ipv6_study_telemetry::time::Timestamp;
 use ipv6_study_telemetry::{Asn, Country};
@@ -186,25 +186,6 @@ fn main() {
     });
     assert_eq!(radix_perm, cmp_perm, "radix perm == stable comparison perm");
 
-    // Bounded like the sim's raw user-id space, so the uniform-byte
-    // pass-skip in `radix_sort_u64` is exercised the way
-    // `RequestStore::distinct_users` exercises it.
-    let keys64: Vec<u64> = {
-        let mut g = TestGen::new(7);
-        g.vec_of(rows, |g| g.below(1 << 20))
-    };
-    let (radix64_secs, radix_sorted) = time_best(iters, || {
-        let mut v = keys64.clone();
-        radix_sort_u64(&mut v);
-        v
-    });
-    let (cmp64_secs, cmp_sorted) = time_best(iters, || {
-        let mut v = keys64.clone();
-        v.sort_unstable();
-        v
-    });
-    assert_eq!(radix_sorted, cmp_sorted, "radix u64 == sort_unstable");
-
     let (leases, reuses, retained) = scratch_stats();
     let doc = Json::obj()
         .with("schema_version", Json::UInt(1))
@@ -221,8 +202,7 @@ fn main() {
                 .with(
                     "radix_perm_u32",
                     entry(rows, radix_perm_secs, cmp_perm_secs),
-                )
-                .with("radix_sort_u64", entry(rows, radix64_secs, cmp64_secs)),
+                ),
         )
         .with(
             "scratch",
@@ -240,7 +220,6 @@ fn main() {
         ("gather", gather_secs, reencode_secs),
         ("record_view_cursor", cursor_secs, indexed_secs),
         ("radix_perm_u32", radix_perm_secs, cmp_perm_secs),
-        ("radix_sort_u64", radix64_secs, cmp64_secs),
     ] {
         let rate = rows as f64 / secs.max(1e-12) / 1e6;
         if base > 0.0 {

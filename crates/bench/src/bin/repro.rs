@@ -7,7 +7,8 @@
 //! cargo run --release -p ipv6-study-bench --bin repro -- \
 //!     [scale] [output.md] [--threads N|auto] [--analysis-threads N|auto] \
 //!     [--households N] [--storage memory|spill[:DIR]] [--segment-rows N] \
-//!     [--disk-budget BYTES] [--extend-days N] [--state-dir DIR] [--extended]
+//!     [--disk-budget BYTES] [--extend-days N] [--state-dir DIR] [--extended] \
+//!     [--out PATH]
 //! ```
 //!
 //! `scale` is one of `tiny`, `test`, `default` (the default) or `full`.
@@ -29,6 +30,11 @@
 //! not-yet-covered days and re-runs only the passes whose read windows
 //! reach them, and the written EXPERIMENTS.md is byte-identical to a
 //! from-scratch run of the same range (DESIGN.md §14).
+//!
+//! `--out PATH` also writes the run's observability report
+//! (`BENCH_run.json` schema) to PATH. Without it no report is written,
+//! so a run from the repository root never overwrites the committed
+//! baseline.
 
 use std::time::Instant;
 
@@ -40,7 +46,7 @@ use ipv6_study_core::{incremental, Study, StudyError};
 const USAGE: &str = "usage: repro [tiny|test|default|full] [output.md] [--threads N|auto] \
      [--analysis-threads N|auto] [--households N] [--storage memory|spill[:DIR]] \
      [--segment-rows N] [--disk-budget BYTES] [--extend-days N] [--state-dir DIR] \
-     [--extended]";
+     [--extended] [--out PATH]";
 
 /// Renders a study error and exits with the conventional status.
 fn run_failed(e: StudyError) -> ! {
@@ -64,10 +70,19 @@ fn run_failed(e: StudyError) -> ! {
 fn main() {
     let args = CommonArgs::parse(std::env::args().skip(1), USAGE);
     let mut output = None;
+    let mut report_path = None;
     let mut extended = false;
-    for arg in &args.rest {
+    let mut rest = args.rest.iter();
+    while let Some(arg) = rest.next() {
         if arg == "--extended" {
             extended = true;
+        } else if arg == "--out" {
+            match rest.next() {
+                Some(v) => report_path = Some(v.clone()),
+                None => usage_exit(USAGE, "--out needs a value"),
+            }
+        } else if let Some(v) = arg.strip_prefix("--out=") {
+            report_path = Some(v.to_string());
         } else if arg.starts_with('-') || output.is_some() {
             usage_exit(USAGE, &format!("unexpected argument `{arg}`"));
         } else {
@@ -161,12 +176,12 @@ fn main() {
         }
     }
 
-    // The observability report rides along with every repro run.
-    if study.report().enabled {
-        match std::fs::write("BENCH_run.json", study.report().to_json_string()) {
-            Ok(()) => eprintln!("wrote BENCH_run.json"),
+    // The observability report is written only where asked.
+    if let Some(path) = report_path.filter(|_| study.report().enabled) {
+        match std::fs::write(&path, study.report().to_json_string()) {
+            Ok(()) => eprintln!("wrote {path}"),
             Err(e) => {
-                eprintln!("failed to write BENCH_run.json: {e}");
+                eprintln!("failed to write {path}: {e}");
                 std::process::exit(1);
             }
         }

@@ -37,6 +37,18 @@
 //! happens after exhaustion is the [`FailurePolicy`]'s call: `Abort` and
 //! `Retry` fail the run with a [`FaultReport`], `Degrade` drops the
 //! shard and completes on the survivors. See [`crate::faults`].
+//!
+//! # Freeze
+//!
+//! Each shard's sink also collects the intern keys (addresses and users)
+//! of every row it keeps, so after the merge the freeze ("sort" phase)
+//! never reads a row just to intern it: the payload key sets union in
+//! plan order into the shared tables, then the 21 families freeze on a
+//! pool of `threads` workers, largest first (`freeze`). Results land
+//! in family-order slots, so output is byte-identical at any thread
+//! count, and when several families fail the first error in family
+//! order is the one reported. A failed shard attempt's keys are dropped
+//! with its unwind, like its rows.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -53,17 +65,18 @@ use ipv6_study_behavior::schedule::day_plan;
 use ipv6_study_netmodel::World;
 use ipv6_study_obs::report::rate_per_sec;
 use ipv6_study_obs::timer::{time_phase, PhaseStat};
-use ipv6_study_telemetry::spill::{merge_into_frozen, KeyCollector};
+use ipv6_study_telemetry::spill::merge_into_frozen;
 use ipv6_study_telemetry::{
-    DateRange, EntityTables, FamilyPayload, FrozenDatasets, FrozenStore, MemGauge, RequestSink,
-    RequestStore, RunManifest, Samplers, ShardPayload, ShardSink, SimDate, SinkStorage, SpillError,
-    SpillSession, SpillStats, StorageMode, StudyDatasets,
+    DateRange, Families, FamilyPayload, FrozenDatasets, FrozenStore, KeyCollector, MemGauge,
+    RequestSink, RequestStore, Samplers, ShardPayload, ShardSink, SimDate, SinkStorage, SpillError,
+    SpillSession, SpillStats, StorageMode,
 };
 
 use crate::config::StudyConfig;
 use crate::faults::{
     FailurePolicy, FaultDecision, FaultKind, FaultReport, ShardFailure, StudyError,
 };
+use crate::pool::run_pool;
 
 /// Target number of benign shards (the plan clamps so small runs still
 /// get meaningfully sized shards).
@@ -139,8 +152,12 @@ pub struct RunMetrics {
     pub sim_wall: Duration,
     /// Wall-clock of the in-order merge phase.
     pub merge_wall: Duration,
-    /// Wall-clock of the final timestamp sort of the merged stores.
+    /// Wall-clock of the whole freeze phase: the intern step, then every
+    /// family's timestamp sort (or k-way merge) and columnar encode.
     pub sort_wall: Duration,
+    /// The intern step's share of [`RunMetrics::sort_wall`]: the union of
+    /// the collected key sets and the intern-table build.
+    pub intern_wall: Duration,
     /// Wall-clock of the whole [`crate::Study::run`], set by the caller.
     pub total_wall: Duration,
     /// High-water mark of mutable row bytes held in memory during the sim
@@ -172,6 +189,7 @@ impl RunMetrics {
             ("sim", self.sim_wall),
             ("merge", self.merge_wall),
             ("sort", self.sort_wall),
+            ("sort_intern", self.intern_wall),
             ("total", self.total_wall),
         ]
         .into_iter()
@@ -208,8 +226,14 @@ impl RunMetrics {
         }
         let _ = writeln!(
             out,
-            "plan: {:.2?}; merge: {:.2?}; sort: {:.2?}; total: {:.2?}; peak store: {} bytes",
-            self.plan_wall, self.merge_wall, self.sort_wall, self.total_wall, self.peak_store_bytes
+            "plan: {:.2?}; merge: {:.2?}; sort: {:.2?} (intern {:.2?}); total: {:.2?}; \
+             peak store: {} bytes",
+            self.plan_wall,
+            self.merge_wall,
+            self.sort_wall,
+            self.intern_wall,
+            self.total_wall,
+            self.peak_store_bytes
         );
         out
     }
@@ -471,40 +495,100 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The merge phase's output before the sort phase: either the shard
-/// payloads concatenated into mutable in-memory stores, or the on-disk run
-/// manifests concatenated per family in plan order.
-enum MergedStreams {
-    Memory {
-        datasets: StudyDatasets,
-        abuse: RequestStore,
-        pair: RequestStore,
-    },
-    Spill {
+/// A completed freeze: every family frozen against one shared table set,
+/// plus the intern step's share of the phase wall.
+pub(crate) struct Frozen {
+    pub families: Families<FrozenStore>,
+    /// Wall-clock of the key union and intern-table build.
+    pub intern_wall: Duration,
+}
+
+impl Frozen {
+    /// Splits the frozen families into the study's datasets plus the
+    /// abuse and pair stores.
+    pub fn into_stores(
+        self,
+        samplers: Samplers,
         offered: u64,
-        request: Vec<RunManifest>,
-        user: Vec<RunManifest>,
-        ip: Vec<RunManifest>,
-        prefixes: BTreeMap<u8, Vec<RunManifest>>,
-        abuse: Vec<RunManifest>,
-        pair: Vec<RunManifest>,
-    },
-}
-
-/// Unwraps a memory-mode family payload.
-fn expect_rows(p: FamilyPayload) -> RequestStore {
-    match p {
-        FamilyPayload::Rows(rows) => rows,
-        FamilyPayload::Runs(_) => unreachable!("memory-mode shard produced a spill manifest"),
+    ) -> (FrozenDatasets, FrozenStore, FrozenStore) {
+        let Families {
+            request,
+            user,
+            ip,
+            prefixes,
+            abuse,
+            pair,
+        } = self.families;
+        let datasets = FrozenDatasets {
+            samplers,
+            request_sample: request,
+            user_sample: user,
+            ip_sample: ip,
+            prefix_samples: prefixes.into_iter().collect(),
+            offered,
+        };
+        (datasets, abuse, pair)
     }
 }
 
-/// Unwraps a spill-mode family payload.
-fn expect_runs(p: FamilyPayload) -> RunManifest {
-    match p {
-        FamilyPayload::Runs(runs) => runs,
-        FamilyPayload::Rows(_) => unreachable!("spill-mode shard produced in-memory rows"),
+/// The freeze phase, shared by the batch driver and the incremental
+/// engine: unions `keys` into the shared
+/// [`EntityTables`](ipv6_study_telemetry::EntityTables), then freezes
+/// every family against them on a pool of `threads` workers, largest
+/// family first. In-memory rows take the stable timestamp sort and the
+/// columnar encode ([`RequestStore::freeze_with`]); spilled runs k-way
+/// merge straight into columns ([`merge_into_frozen`]). The tables depend
+/// only on the union of the key sets, so the output is byte-identical at
+/// any thread count. The first storage error in family order is
+/// returned (see [`run_pool`]).
+pub(crate) fn freeze(
+    families: Families<FamilyPayload>,
+    keys: Vec<KeyCollector>,
+    threads: usize,
+) -> Result<Frozen, SpillError> {
+    let t0 = Instant::now();
+    let mut union = KeyCollector::new();
+    for k in keys {
+        union.union(k);
     }
+    let tables = Arc::new(union.into_tables());
+    let intern_wall = t0.elapsed();
+    let lengths = families.prefix_lengths();
+    let stores = run_pool(
+        families.into_vec(),
+        threads,
+        FamilyPayload::rows,
+        |family| match family {
+            FamilyPayload::Rows(rows) => Ok(rows.freeze_with(Arc::clone(&tables))),
+            FamilyPayload::Runs(runs) => merge_into_frozen(&runs, &tables),
+        },
+    )?;
+    let families = Families::from_vec(&lengths, stores)
+        .unwrap_or_else(|| unreachable!("the pool returns one store per family"));
+    Ok(Frozen {
+        families,
+        intern_wall,
+    })
+}
+
+/// [`freeze`] for row families whose keys no shard collected (the
+/// incremental engine's re-freeze): each family's keys are collected on
+/// the same pool first, and that pass counts toward the intern wall.
+pub(crate) fn freeze_rows(
+    families: Families<RequestStore>,
+    threads: usize,
+) -> Result<Frozen, SpillError> {
+    let t0 = Instant::now();
+    let keys = run_pool(
+        families.iter().collect(),
+        threads,
+        |rows| rows.len() as u64,
+        |rows| Ok(KeyCollector::from_records(rows.iter_unordered())),
+    )?;
+    let collect_wall = t0.elapsed();
+    let mut frozen = freeze(families.map(FamilyPayload::Rows), keys, threads)?;
+    frozen.intern_wall += collect_wall;
+    Ok(frozen)
 }
 
 /// Runs the sharded simulation and merges shard outputs in plan order.
@@ -709,12 +793,15 @@ pub(crate) fn execute_days(
     // Merge phase: walk the slots in plan order. In memory mode this
     // concatenates shard rows into one mutable store per family; in spill
     // mode no record moves — the per-shard run manifests are concatenated
-    // per family, which is all "merge" means out of core.
+    // per family, which is all "merge" means out of core. Each shard's
+    // intern keys ride along for the freeze's union.
     let t1 = Instant::now();
     let mut shards = Vec::with_capacity(plan.len());
     let mut users_seen = 0u64;
     let mut users_sampled = 0u64;
-    let mut payloads: Vec<ShardPayload> = Vec::with_capacity(plan.len());
+    let mut offered = 0u64;
+    let mut families: Families<FamilyPayload> = Families::new(&config.prefix_lengths);
+    let mut keys = Vec::with_capacity(plan.len());
     for (i, (work, slot)) in plan.iter().zip(slots).enumerate() {
         // Poison recovery (see WorkQueue::claim); an empty slot is a shard
         // dropped under Degrade — it must be in the fault report.
@@ -732,139 +819,21 @@ pub(crate) fn execute_days(
         });
         users_seen += out.users_seen;
         users_sampled += out.users_sampled;
-        payloads.push(out.payload);
+        offered += out.payload.offered;
+        families.append(out.payload.families);
+        keys.push(out.payload.keys);
     }
-    let merged = if spill.is_some() {
-        let mut offered = 0u64;
-        let mut request = Vec::new();
-        let mut user = Vec::new();
-        let mut ip = Vec::new();
-        let mut prefixes: BTreeMap<u8, Vec<RunManifest>> = BTreeMap::new();
-        let mut abuse_runs = Vec::new();
-        let mut pair = Vec::new();
-        for p in payloads {
-            offered += p.offered;
-            request.push(expect_runs(p.request));
-            user.push(expect_runs(p.user));
-            ip.push(expect_runs(p.ip));
-            for (len, fam) in p.prefixes {
-                prefixes.entry(len).or_default().push(expect_runs(fam));
-            }
-            if let Some(a) = p.abuse {
-                abuse_runs.push(expect_runs(a));
-            }
-            pair.push(expect_runs(p.pair));
-        }
-        MergedStreams::Spill {
-            offered,
-            request,
-            user,
-            ip,
-            prefixes,
-            abuse: abuse_runs,
-            pair,
-        }
-    } else {
-        let mut datasets =
-            StudyDatasets::with_prefix_lengths(samplers.clone(), &config.prefix_lengths);
-        let mut abuse_store = RequestStore::new();
-        let mut pair_store = RequestStore::new();
-        for p in payloads {
-            datasets.offered += p.offered;
-            datasets.request_sample.extend_from(expect_rows(p.request));
-            datasets.user_sample.extend_from(expect_rows(p.user));
-            datasets.ip_sample.extend_from(expect_rows(p.ip));
-            for (len, fam) in p.prefixes {
-                datasets
-                    .prefix_samples
-                    .get_mut(&len)
-                    .expect("shard sinks route exactly the configured prefix lengths")
-                    .extend_from(expect_rows(fam));
-            }
-            if let Some(a) = p.abuse {
-                abuse_store.extend_from(expect_rows(a));
-            }
-            pair_store.extend_from(expect_rows(p.pair));
-        }
-        MergedStreams::Memory {
-            datasets,
-            abuse: abuse_store,
-            pair: pair_store,
-        }
-    };
     let merge_wall = t1.elapsed();
 
-    // Sort phase: the merged stores sort lazily on first query; doing it
-    // here makes the cost a measured driver phase instead of a surprise
-    // inside the first analysis. One global intern-table set is built over
-    // every store's records, then the streams freeze into immutable
-    // columnar datasets encoded against those shared tables, so analysis
-    // passes can query them concurrently through `&self` and cross-store
-    // joins agree on ids. In spill mode the tables come from a streaming
-    // key sweep over the manifests (bit-identical to the in-memory build —
-    // both sort-and-dedup the same key sets) and each family's sorted runs
-    // k-way merge straight into frozen columns.
+    // Sort phase: freeze every family into immutable columnar stores
+    // encoded against one global intern-table set, so analysis passes can
+    // query them concurrently through `&self` and cross-store joins agree
+    // on ids. The tables come from the shard-collected key sets; the
+    // families freeze in parallel (see `freeze`).
     let t2 = Instant::now();
-    let (datasets, abuse_store, pair_store) = match merged {
-        MergedStreams::Memory {
-            datasets,
-            abuse: abuse_store,
-            pair: pair_store,
-        } => {
-            let tables = Arc::new(EntityTables::build(
-                datasets
-                    .iter_unordered()
-                    .chain(abuse_store.iter_unordered())
-                    .chain(pair_store.iter_unordered()),
-            ));
-            (
-                datasets.freeze_with(tables.clone()),
-                abuse_store.freeze_with(tables.clone()),
-                pair_store.freeze_with(tables),
-            )
-        }
-        MergedStreams::Spill {
-            offered,
-            request,
-            user,
-            ip,
-            prefixes,
-            abuse: abuse_runs,
-            pair,
-        } => {
-            let mut keys = KeyCollector::new();
-            for m in request
-                .iter()
-                .chain(&user)
-                .chain(&ip)
-                .chain(prefixes.values().flatten())
-                .chain(&abuse_runs)
-                .chain(&pair)
-            {
-                keys.add_manifest(m)?;
-            }
-            let tables = Arc::new(keys.into_tables());
-            let datasets = FrozenDatasets {
-                samplers: samplers.clone(),
-                request_sample: merge_into_frozen(&request, &tables)?,
-                user_sample: merge_into_frozen(&user, &tables)?,
-                ip_sample: merge_into_frozen(&ip, &tables)?,
-                prefix_samples: {
-                    let mut samples = std::collections::HashMap::new();
-                    for (len, runs) in &prefixes {
-                        samples.insert(*len, merge_into_frozen(runs, &tables)?);
-                    }
-                    samples
-                },
-                offered,
-            };
-            (
-                datasets,
-                merge_into_frozen(&abuse_runs, &tables)?,
-                merge_into_frozen(&pair, &tables)?,
-            )
-        }
-    };
+    let frozen = freeze(families, keys, config.threads)?;
+    let intern_wall = frozen.intern_wall;
+    let (datasets, abuse_store, pair_store) = frozen.into_stores(samplers.clone(), offered);
     let sort_wall = t2.elapsed();
 
     // The merge's read passes verify every run checksum; fold the final
@@ -887,6 +856,7 @@ pub(crate) fn execute_days(
             sim_wall,
             merge_wall,
             sort_wall,
+            intern_wall,
             total_wall: Duration::ZERO,
             peak_store_bytes,
         },
@@ -968,6 +938,67 @@ mod tests {
         assert!(q.is_aborted());
     }
 
+    /// Two corrupted families on the freeze pool: the larger one (pair)
+    /// is claimed first, but the error of the earlier family in freeze
+    /// order (ip) is returned, at every pool size.
+    #[test]
+    fn freeze_reports_the_first_corrupt_family_in_order() {
+        use ipv6_study_telemetry::{Asn, Country, RequestRecord, Timestamp, UserId};
+        let day = SimDate::ymd(4, 13);
+        let rec = |i: u32| RequestRecord {
+            ts: Timestamp::from_secs(day.start().secs() + i),
+            user: UserId(u64::from(i % 7)),
+            ip: format!("2001:db8::{:x}", i % 11).parse().unwrap(),
+            asn: Asn(64496),
+            country: Country::new("US"),
+        };
+        let session = SpillSession::create(None).unwrap();
+        let mut records = Vec::new();
+        let families = Families::with(&[64], |name| {
+            let rows = if name == "pair" { 400 } else { 20 };
+            let mut w = session.writer(0, 0, name, 16);
+            for i in 0..rows {
+                records.push(rec(i));
+                w.push(rec(i)).unwrap();
+            }
+            w.finish().unwrap();
+            FamilyPayload::Runs(vec![w.into_manifest()])
+        });
+        for name in ["ip", "pair"] {
+            let path = session.dir().join(format!("s00000-a00-{name}.seg"));
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[30] ^= 0xA5; // a payload byte of run 0
+            std::fs::write(&path, bytes).unwrap();
+        }
+        let keys = || vec![KeyCollector::from_records(records.iter())];
+        let rerun = |threads| {
+            let fams = Families::from_vec(
+                &families.prefix_lengths(),
+                families
+                    .iter()
+                    .map(|f| match f {
+                        FamilyPayload::Runs(m) => FamilyPayload::Runs(m.clone()),
+                        FamilyPayload::Rows(_) => unreachable!(),
+                    })
+                    .collect(),
+            )
+            .unwrap();
+            match freeze(fams, keys(), threads) {
+                Err(e @ SpillError::Corrupt { .. }) => e,
+                Err(e) => panic!("threads={threads}: expected Corrupt, got {e:?}"),
+                Ok(_) => panic!("threads={threads}: corruption went unnoticed"),
+            }
+        };
+        let first = rerun(1);
+        let SpillError::Corrupt { path, .. } = &first else {
+            unreachable!()
+        };
+        assert!(path.ends_with("s00000-a00-ip.seg"), "{path:?}");
+        for threads in [2, 8] {
+            assert_eq!(rerun(threads), first, "threads={threads}");
+        }
+    }
+
     #[test]
     fn panic_payloads_are_stringified() {
         let p = catch_unwind(|| panic!("static message")).unwrap_err();
@@ -991,6 +1022,7 @@ mod tests {
             sim_wall: Duration::from_millis(12),
             merge_wall: Duration::from_millis(1),
             sort_wall: Duration::from_millis(2),
+            intern_wall: Duration::from_micros(700),
             total_wall: Duration::from_millis(20),
             peak_store_bytes: 40_000,
         };
@@ -1000,10 +1032,14 @@ mod tests {
         assert!(text.contains("plan:"));
         assert!(text.contains("merge:"));
         assert!(text.contains("sort:"));
+        assert!(text.contains("intern"));
         assert_eq!(m.total_records(), 1000);
         assert!(m.records_per_sec() > 0.0);
         let phases: Vec<String> = m.phases().into_iter().map(|p| p.name).collect();
-        assert_eq!(phases, ["plan", "sim", "merge", "sort", "total"]);
+        assert_eq!(
+            phases,
+            ["plan", "sim", "merge", "sort", "sort_intern", "total"]
+        );
     }
 
     #[test]
@@ -1025,6 +1061,7 @@ mod tests {
             sim_wall: Duration::ZERO,
             merge_wall: Duration::ZERO,
             sort_wall: Duration::ZERO,
+            intern_wall: Duration::ZERO,
             total_wall: Duration::ZERO,
             peak_store_bytes: 0,
         };

@@ -15,8 +15,7 @@
 //! byte-identical at any `analysis_threads` count.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use ipv6_study_analysis::characterize::{
@@ -50,6 +49,7 @@ use ipv6_study_telemetry::kernels::{mask_from, scratch_reset};
 use ipv6_study_telemetry::time::{focus_day_ip, focus_day_user, focus_week};
 use ipv6_study_telemetry::{ColumnSlice, SimDate, UserId};
 
+use crate::pool::run_pool;
 use crate::study::Study;
 
 /// The shared, immutable input of every experiment: the study plus the
@@ -1406,47 +1406,32 @@ const EXPERIMENTS: [Experiment; 20] = [
 /// extended pass runs.
 const EXTENDED_EXPERIMENTS: [Experiment; 1] = [("EC1", ec_entropy_blocklist)];
 
-/// Runs `registry` on a claim-order worker pool. Workers claim passes
-/// from a shared cursor in racy order, but each result lands in its
-/// registry-indexed slot and comes back in registry order — so the
-/// outputs are byte-identical at any `workers` value.
-fn run_pool(
+/// Runs `registry` on the claim-order worker pool: passes are claimed in
+/// registry order and come back in registry order, so the outputs are
+/// byte-identical at any `workers` value.
+fn run_registry(
     registry: &[Experiment],
     ctx: &AnalysisCtx<'_>,
     workers: usize,
 ) -> Vec<(ExperimentOutput, ipv6_study_obs::FigureStat)> {
-    let workers = workers.clamp(1, registry.len());
-    let slots: Vec<Mutex<Option<(ExperimentOutput, ipv6_study_obs::FigureStat)>>> =
-        (0..registry.len()).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&(id, func)) = registry.get(i) else {
-                    break;
-                };
-                let (out, stat) = ipv6_study_analysis::timed_figure(id, || {
-                    let out = func(ctx);
-                    let inputs = out.input_records;
-                    (out, inputs)
-                });
-                *slots[i].lock().expect("no poisoned pass slot") = Some((out, stat));
-                // Pass boundary: assert the worker's scratch leases are
-                // balanced; pooled kernel buffers stay warm for the next
-                // claimed pass.
-                scratch_reset();
+    let outs = run_pool(
+        registry.iter().collect(),
+        workers,
+        |_| 0,
+        |&(id, func)| {
+            let timed = ipv6_study_analysis::timed_figure(id, || {
+                let out = func(ctx);
+                let inputs = out.input_records;
+                (out, inputs)
             });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("no poisoned pass slot")
-                .expect("every pass slot filled")
-        })
-        .collect()
+            // Pass boundary: assert the worker's scratch leases are
+            // balanced; pooled kernel buffers stay warm for the next
+            // claimed pass.
+            scratch_reset();
+            Ok::<_, std::convert::Infallible>(timed)
+        },
+    );
+    outs.unwrap_or_else(|never| match never {})
 }
 
 /// Runs every experiment in paper order, on
@@ -1490,7 +1475,7 @@ pub fn run_all_with(
     // Passes phase: the worker pool. Claim order cannot affect output —
     // passes only read the frozen study and the shared context.
     let t_passes = Instant::now();
-    let outs = run_pool(&EXPERIMENTS, &ctx, workers);
+    let outs = run_registry(&EXPERIMENTS, &ctx, workers);
     let passes_wall = t_passes.elapsed();
     let index_bytes = ctx.index_bytes();
     let index_records = ctx.index_records();
@@ -1562,7 +1547,7 @@ pub fn run_extended_with(
     mode: IndexMode,
 ) -> Vec<(&'static str, ExperimentOutput)> {
     let ctx = AnalysisCtx::with_mode(study, mode);
-    let outs = run_pool(&EXTENDED_EXPERIMENTS, &ctx, workers);
+    let outs = run_registry(&EXTENDED_EXPERIMENTS, &ctx, workers);
     EXTENDED_EXPERIMENTS
         .iter()
         .zip(outs)
@@ -1603,7 +1588,7 @@ pub fn run_selected(
         return (Vec::new(), 0);
     }
     let ctx = AnalysisCtx::with_mode(study, IndexMode::Sorted);
-    let outs = run_pool(&registry, &ctx, workers);
+    let outs = run_registry(&registry, &ctx, workers);
     let built = ctx.windows_built();
     (
         registry

@@ -17,8 +17,9 @@
 //!    store's canonical rows followed by the suffix's canonical rows
 //!    *are* the longer run's canonical order — the re-freeze's stable
 //!    sort is a no-op pass over already-sorted input.
-//! 3. **Order-isomorphism.** [`EntityTables`] depend only on the
-//!    distinct raw-key *sets*, and dense ids are assigned in ascending
+//! 3. **Order-isomorphism.**
+//!    [`EntityTables`](ipv6_study_telemetry::EntityTables) depend only on
+//!    the distinct raw-key *sets*, and dense ids are assigned in ascending
 //!    raw-key order — so the union tables equal the longer run's tables
 //!    bit-for-bit, and keys that survive an extension keep their
 //!    relative order (which is what lets cached per-day structures and
@@ -56,7 +57,6 @@
 
 use std::fs;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Instant;
 
 use ipv6_study_analysis::windows;
@@ -65,8 +65,8 @@ use ipv6_study_behavior::population::Population;
 use ipv6_study_netmodel::World;
 use ipv6_study_obs::{IncrementalStat, Json};
 use ipv6_study_telemetry::{
-    read_checkpoint_segment, write_checkpoint_segment, ColumnSlice, DateRange, EntityTables,
-    RequestStore, SpillStats, StudyDatasets,
+    read_checkpoint_segment, write_checkpoint_segment, ColumnSlice, DateRange, Families,
+    FrozenDatasets, FrozenStore, RequestStore, SpillStats,
 };
 
 use crate::config::{ConfigError, StudyConfig};
@@ -133,6 +133,28 @@ fn pass_file_stem(id: &str) -> String {
         .collect()
 }
 
+/// Every family of a frozen study as one column slice each, in freeze
+/// order; `pair` is the caller's choice of pair-window rows.
+fn family_rows<'a>(
+    datasets: &'a FrozenDatasets,
+    abuse: &'a FrozenStore,
+    pair: ColumnSlice<'a>,
+) -> Families<ColumnSlice<'a>> {
+    let mut lengths: Vec<u8> = datasets.prefix_samples.keys().copied().collect();
+    lengths.sort_unstable();
+    Families {
+        request: datasets.request_sample.all(),
+        user: datasets.user_sample.all(),
+        ip: datasets.ip_sample.all(),
+        prefixes: lengths
+            .into_iter()
+            .map(|len| (len, datasets.prefix_sample(len).all()))
+            .collect(),
+        abuse: abuse.all(),
+        pair,
+    }
+}
+
 /// Copies a frozen column slice into a mutable row store, preserving
 /// order.
 fn append_slice(store: &mut RequestStore, rows: ColumnSlice<'_>) {
@@ -196,60 +218,35 @@ pub(crate) fn extend(study: Study, n: u16) -> Result<(Study, IncrementalStat), S
     // concatenation is already in canonical order and the stable
     // re-sort inside freeze is a verification pass, not a reorder.
     let t_merge = Instant::now();
-    let mut datasets = StudyDatasets::with_prefix_lengths(samplers, &config.prefix_lengths);
-    append_slice(
-        &mut datasets.request_sample,
-        study.datasets.request_sample.all(),
-    );
-    append_slice(
-        &mut datasets.request_sample,
-        out.datasets.request_sample.all(),
-    );
-    append_slice(&mut datasets.user_sample, study.datasets.user_sample.all());
-    append_slice(&mut datasets.user_sample, out.datasets.user_sample.all());
-    append_slice(&mut datasets.ip_sample, study.datasets.ip_sample.all());
-    append_slice(&mut datasets.ip_sample, out.datasets.ip_sample.all());
-    for &len in &config.prefix_lengths {
-        let store = datasets
-            .prefix_samples
-            .get_mut(&len)
-            .expect("with_prefix_lengths creates every configured length");
-        append_slice(store, study.datasets.prefix_sample(len).all());
-        append_slice(store, out.datasets.prefix_sample(len).all());
-    }
-    datasets.offered = study.datasets.offered + out.datasets.offered;
-    let mut abuse_store = RequestStore::new();
-    append_slice(&mut abuse_store, study.abuse_store.all());
-    append_slice(&mut abuse_store, out.abuse_store.all());
-    // The pair store slides: keep the old window's days that remain
-    // inside the new last-four-days window, then append the suffix rows
-    // (the suffix run routed them against the *new* window already).
+    // The pair store slides: keep only the old window's days that remain
+    // inside the new last-four-days window (the suffix run routed its
+    // rows against the *new* window already).
     let pair_win = windows::pair_window(config.sim_end());
-    let mut pair_store = RequestStore::new();
-    if pair_win.start <= old_end {
-        append_slice(
-            &mut pair_store,
-            study
-                .pair_store
-                .in_range(DateRange::new(pair_win.start, old_end)),
-        );
-    }
-    append_slice(&mut pair_store, out.pair_store.all());
+    let old_pair = if pair_win.start <= old_end {
+        study
+            .pair_store
+            .in_range(DateRange::new(pair_win.start, old_end))
+    } else {
+        ColumnSlice::empty(study.pair_store.tables())
+    };
+    let old = family_rows(&study.datasets, &study.abuse_store, old_pair);
+    let new = family_rows(&out.datasets, &out.abuse_store, out.pair_store.all());
+    let families = old.zip(new).map(|(old, new)| {
+        let mut store = RequestStore::new();
+        append_slice(&mut store, old);
+        append_slice(&mut store, new);
+        store
+    });
+    let offered = study.datasets.offered + out.datasets.offered;
     let merge_wall = t_merge.elapsed();
 
     // Re-freeze against the union tables. The distinct-key sets equal
     // the longer run's, so these tables — and therefore every dense id —
     // are bit-identical to a from-scratch build.
     let t_sort = Instant::now();
-    let tables = Arc::new(EntityTables::build(
-        datasets
-            .iter_unordered()
-            .chain(abuse_store.iter_unordered())
-            .chain(pair_store.iter_unordered()),
-    ));
-    let datasets = datasets.freeze_with(tables.clone());
-    let abuse_store = abuse_store.freeze_with(tables.clone());
-    let pair_store = pair_store.freeze_with(tables);
+    let frozen = driver::freeze_rows(families, config.threads)?;
+    let intern_wall = frozen.intern_wall;
+    let (datasets, abuse_store, pair_store) = frozen.into_stores(samplers, offered);
     let sort_wall = t_sort.elapsed();
 
     // Carry the per-day trie cache for days still inside the sliding
@@ -260,6 +257,7 @@ pub(crate) fn extend(study: Study, n: u16) -> Result<(Study, IncrementalStat), S
     let mut metrics = out.metrics;
     metrics.merge_wall += merge_wall;
     metrics.sort_wall += sort_wall;
+    metrics.intern_wall += intern_wall;
     metrics.total_wall = t0.elapsed();
     let union_out = DriverOutput {
         datasets,
@@ -510,29 +508,28 @@ fn rebuild_study(config: StudyConfig, cp: &Checkpoint, dir: &Path) -> Result<Stu
     .with_detect_scale(config.ablation.detect_scale())
     .labels();
 
-    let mut datasets = StudyDatasets::with_prefix_lengths(samplers, &config.prefix_lengths);
-    let mut abuse_store = RequestStore::new();
-    let mut pair_store = RequestStore::new();
-    let families = family_names(&config);
+    let mut families: Families<RequestStore> = Families::new(&config.prefix_lengths);
     for day in config.sim_range().days() {
         let day_dir = dir.join("days").join(format!("day{:03}", day.index()));
-        for name in &families {
+        for name in family_names(&config) {
             let path = day_dir.join(format!("{name}.seg"));
             let rows = read_checkpoint_segment(&path).map_err(StudyError::Spill)?;
             let store = match name.as_str() {
-                "request" => &mut datasets.request_sample,
-                "user" => &mut datasets.user_sample,
-                "ip" => &mut datasets.ip_sample,
-                "abuse" => &mut abuse_store,
+                "request" => &mut families.request,
+                "user" => &mut families.user,
+                "ip" => &mut families.ip,
+                "abuse" => &mut families.abuse,
                 prefix => {
                     let len: u8 = prefix
                         .strip_prefix("prefix")
                         .and_then(|l| l.parse().ok())
                         .expect("family_names emits only known families");
-                    datasets
-                        .prefix_samples
-                        .get_mut(&len)
-                        .expect("with_prefix_lengths creates every configured length")
+                    &mut families
+                        .prefixes
+                        .iter_mut()
+                        .find(|(l, _)| *l == len)
+                        .expect("Families::new creates every configured length")
+                        .1
                 }
             };
             for rec in rows {
@@ -542,21 +539,12 @@ fn rebuild_study(config: StudyConfig, cp: &Checkpoint, dir: &Path) -> Result<Stu
         let pair_path = day_dir.join("pair.seg");
         if pair_path.exists() {
             for rec in read_checkpoint_segment(&pair_path).map_err(StudyError::Spill)? {
-                pair_store.push(rec);
+                families.pair.push(rec);
             }
         }
     }
-    datasets.offered = cp.offered;
-
-    let tables = Arc::new(EntityTables::build(
-        datasets
-            .iter_unordered()
-            .chain(abuse_store.iter_unordered())
-            .chain(pair_store.iter_unordered()),
-    ));
-    let datasets = datasets.freeze_with(tables.clone());
-    let abuse_store = abuse_store.freeze_with(tables.clone());
-    let pair_store = pair_store.freeze_with(tables);
+    let (datasets, abuse_store, pair_store) =
+        driver::freeze_rows(families, config.threads)?.into_stores(samplers, cp.offered);
 
     let metrics = RunMetrics {
         threads: config.threads,
@@ -565,6 +553,7 @@ fn rebuild_study(config: StudyConfig, cp: &Checkpoint, dir: &Path) -> Result<Stu
         sim_wall: Default::default(),
         merge_wall: Default::default(),
         sort_wall: Default::default(),
+        intern_wall: Default::default(),
         total_wall: Default::default(),
         peak_store_bytes: 0,
     };

@@ -306,7 +306,7 @@ impl UserTable {
     /// Builds the table from raw user keys (duplicates and arbitrary
     /// order allowed); depends only on the distinct key set.
     pub fn from_keys(mut raw: Vec<u64>) -> Self {
-        crate::kernels::radix_sort_u64(&mut raw);
+        raw.sort_unstable();
         raw.dedup();
         Self { raw }
     }
@@ -374,6 +374,110 @@ impl EntityTables {
     /// Heap bytes held by both tables.
     pub fn bytes(&self) -> usize {
         self.ips.bytes() + self.users.bytes()
+    }
+}
+
+/// Accumulates the distinct entity keys (IPv4 and IPv6 addresses, users)
+/// of a record stream with periodic sort+dedup compaction, then builds
+/// the shared [`EntityTables`].
+///
+/// Table construction depends only on the distinct key *sets* (sort +
+/// dedup erase arrival order and multiplicity), so collectors filled in
+/// any order — one per shard during the sim, one per family on a freeze
+/// pool — and unioned with [`KeyCollector::union`] build tables
+/// bit-identical to [`EntityTables::build`] over the same records. Held
+/// keys stay O(distinct entities), not O(rows): a record repeating the
+/// previous record's user or address is skipped outright, and the
+/// buffers compact once they pass twice the last compacted size (and at
+/// least 2^20 keys).
+#[derive(Debug, Default)]
+pub struct KeyCollector {
+    v4: Vec<u32>,
+    v6: Vec<u128>,
+    users: Vec<u64>,
+    last_ip: Option<IpAddr>,
+    last_user: Option<UserId>,
+    compact_at: usize,
+}
+
+/// Compaction floor: below this many buffered keys, dedup isn't worth it.
+const COMPACT_FLOOR: usize = 1 << 20;
+
+impl KeyCollector {
+    /// An empty collector.
+    pub fn new() -> Self {
+        Self {
+            compact_at: COMPACT_FLOOR,
+            ..Self::default()
+        }
+    }
+
+    /// A collector holding the keys of every record in `records`.
+    pub fn from_records<'a>(records: impl Iterator<Item = &'a RequestRecord>) -> Self {
+        let mut keys = Self::new();
+        for r in records {
+            keys.add(r);
+        }
+        keys
+    }
+
+    /// Adds one record's keys.
+    #[inline]
+    pub fn add(&mut self, rec: &RequestRecord) {
+        if self.last_ip != Some(rec.ip) {
+            self.last_ip = Some(rec.ip);
+            match rec.ip {
+                IpAddr::V4(a) => self.v4.push(u32::from(a)),
+                IpAddr::V6(a) => self.v6.push(u128::from(a)),
+            }
+        }
+        if self.last_user != Some(rec.user) {
+            self.last_user = Some(rec.user);
+            self.users.push(rec.user.raw());
+        }
+        if self.len() > self.compact_at {
+            self.compact();
+        }
+    }
+
+    /// Absorbs another collector's keys.
+    pub fn union(&mut self, other: KeyCollector) {
+        self.v4.extend(other.v4);
+        self.v6.extend(other.v6);
+        self.users.extend(other.users);
+        self.last_ip = None;
+        self.last_user = None;
+        if self.len() > self.compact_at {
+            self.compact();
+        }
+    }
+
+    /// Keys currently buffered (duplicates since the last compaction
+    /// included).
+    fn len(&self) -> usize {
+        self.v4.len() + self.v6.len() + self.users.len()
+    }
+
+    /// Sorts and deduplicates the buffered keys, releasing their slack.
+    pub(crate) fn compact(&mut self) {
+        crate::kernels::radix_sort_u32(&mut self.v4);
+        self.v4.dedup();
+        self.v6.sort_unstable();
+        self.v6.dedup();
+        self.users.sort_unstable();
+        self.users.dedup();
+        self.v4.shrink_to_fit();
+        self.v6.shrink_to_fit();
+        self.users.shrink_to_fit();
+        self.compact_at = (self.len() * 2).max(COMPACT_FLOOR);
+    }
+
+    /// Builds the shared intern tables from the collected keys.
+    pub fn into_tables(self) -> EntityTables {
+        EntityTables {
+            ips: IpTable::from_keys(self.v4, self.v6),
+            users: UserTable::from_keys(self.users),
+        }
     }
 }
 
@@ -496,6 +600,38 @@ mod tests {
     fn uninterned_address_panics() {
         let t = IpTable::build([rec(1, "10.0.0.1")].iter());
         let _ = t.id_of("10.0.0.2".parse().unwrap());
+    }
+
+    #[test]
+    fn key_collector_union_matches_the_direct_table_build() {
+        let recs: Vec<RequestRecord> = (0..500u64)
+            .map(|i| {
+                rec(
+                    i % 37,
+                    if i % 3 == 0 {
+                        "192.0.2.9"
+                    } else if i % 5 == 0 {
+                        "2001:db8:9::1"
+                    } else {
+                        "2001:db8:9::2"
+                    },
+                )
+            })
+            .collect();
+        let direct = EntityTables::from_records(&recs);
+        // One collector per arbitrary chunk, unioned out of order, with a
+        // mid-stream compaction: the key *sets* alone decide the tables.
+        let mut chunks: Vec<KeyCollector> = recs
+            .chunks(64)
+            .map(|c| KeyCollector::from_records(c.iter()))
+            .collect();
+        chunks[2].compact();
+        let mut all = KeyCollector::new();
+        for c in chunks.into_iter().rev() {
+            all.union(c);
+        }
+        assert_eq!(all.into_tables(), direct);
+        assert_eq!(KeyCollector::new().into_tables(), EntityTables::default());
     }
 
     #[test]

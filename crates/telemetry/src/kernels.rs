@@ -25,8 +25,8 @@
 //!   suites — so swapping it into the driver's sort phase and the
 //!   [`DatasetIndex`](../../ipv6_study_analysis/index/struct.DatasetIndex.html)
 //!   build leaves every golden digest byte-identical. [`radix_sort_u32`]
-//!   and [`radix_sort_u64`] sort plain key vectors in place (for
-//!   sort-and-dedup distinct-key paths, where any correct sort agrees).
+//!   sorts a plain key vector in place (for sort-and-dedup distinct-key
+//!   paths, where any correct sort agrees).
 //! - **Scratch arenas** — the radix passes need transient count/key/perm
 //!   buffers, and the analysis engine invokes them thousands of times
 //!   per run (six shared indexes plus every `ctx.index(..)` call in the
@@ -266,7 +266,6 @@ pub fn filter_count<K: Copy>(col: &[K], pred: impl Fn(K) -> bool) -> usize {
 #[derive(Debug, Default)]
 pub struct ScratchArena {
     u32s: Vec<Vec<u32>>,
-    u64s: Vec<Vec<u64>>,
     outstanding: usize,
     leases: u64,
     reuses: u64,
@@ -301,29 +300,6 @@ impl ScratchArena {
         }
     }
 
-    /// Leases a cleared `Vec<u64>` with at least `cap` capacity.
-    pub fn lease_u64(&mut self, cap: usize) -> Vec<u64> {
-        self.leases += 1;
-        self.outstanding += 1;
-        match self.u64s.pop() {
-            Some(mut v) => {
-                self.reuses += 1;
-                v.clear();
-                v.reserve(cap);
-                v
-            }
-            None => Vec::with_capacity(cap),
-        }
-    }
-
-    /// Returns a leased `Vec<u64>` to the pool.
-    pub fn restore_u64(&mut self, v: Vec<u64>) {
-        self.outstanding = self.outstanding.saturating_sub(1);
-        if v.capacity() > 0 {
-            self.u64s.push(v);
-        }
-    }
-
     /// Marks a pass boundary: asserts (in debug builds) that every lease
     /// was restored, and retains the pooled capacity for the next pass.
     pub fn reset(&mut self) {
@@ -336,13 +312,11 @@ impl ScratchArena {
     /// Releases every pooled buffer (end-of-engine teardown).
     pub fn trim(&mut self) {
         self.u32s = Vec::new();
-        self.u64s = Vec::new();
     }
 
     /// Heap bytes currently retained by pooled buffers.
     pub fn retained_bytes(&self) -> usize {
         self.u32s.iter().map(|v| v.capacity() * 4).sum::<usize>()
-            + self.u64s.iter().map(|v| v.capacity() * 8).sum::<usize>()
     }
 
     /// `(leases served, leases satisfied by reuse)` since construction.
@@ -506,44 +480,6 @@ pub fn radix_sort_u32(v: &mut Vec<u32>) {
     });
 }
 
-/// Sorts a plain `u64` key vector ascending in place (LSB counting
-/// radix, 8 byte passes, constant-byte passes skipped). Replaces
-/// `sort_unstable` on distinct-key paths such as intern-table builds
-/// and [`RequestStore::distinct_users`](crate::RequestStore::distinct_users).
-pub fn radix_sort_u64(v: &mut Vec<u64>) {
-    let n = v.len();
-    if n <= 1 {
-        return;
-    }
-    with_scratch(|arena| {
-        let mut tmp = arena.lease_u64(n);
-        tmp.resize(n, 0);
-        for pass in 0..8u32 {
-            let shift = pass * 8;
-            let mut counts = [0usize; 256];
-            for &k in v.iter() {
-                counts[(k >> shift & 0xff) as usize] += 1;
-            }
-            if counts.contains(&n) {
-                continue;
-            }
-            let mut sum = 0usize;
-            for c in counts.iter_mut() {
-                let here = *c;
-                *c = sum;
-                sum += here;
-            }
-            for &k in v.iter() {
-                let bucket = (k >> shift & 0xff) as usize;
-                tmp[counts[bucket]] = k;
-                counts[bucket] += 1;
-            }
-            std::mem::swap(v, &mut tmp);
-        }
-        arena.restore_u64(tmp);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,7 +568,7 @@ mod tests {
     }
 
     #[test]
-    fn radix_in_place_sorts_match_sort_unstable() {
+    fn radix_in_place_sort_matches_sort_unstable() {
         let mut g = TestGen::new(11);
         let mut v32: Vec<u32> = g.vec_of(3000, |g| g.next_u64() as u32);
         let mut expected32 = v32.clone();
@@ -640,14 +576,8 @@ mod tests {
         expected32.sort_unstable();
         assert_eq!(v32, expected32);
 
-        let mut v64: Vec<u64> = g.vec_of(3000, |g| g.next_u64() >> g.below(40));
-        let mut expected64 = v64.clone();
-        radix_sort_u64(&mut v64);
-        expected64.sort_unstable();
-        assert_eq!(v64, expected64);
-
-        let mut tiny: Vec<u64> = vec![5];
-        radix_sort_u64(&mut tiny);
+        let mut tiny: Vec<u32> = vec![5];
+        radix_sort_u32(&mut tiny);
         assert_eq!(tiny, [5]);
         let mut none: Vec<u32> = Vec::new();
         radix_sort_u32(&mut none);

@@ -26,7 +26,9 @@
 //! - [`sink`] — the sealed [`sink::RequestSink`] consumer trait (with its
 //!   `push`/`flush_segment`/`finish` lifecycle) that simulator crates emit
 //!   into, the production [`sink::ShardSink`] that applies the §3.1
-//!   samplers in-stream, and tee/closure/counting combinators.
+//!   samplers in-stream (collecting each shard's intern keys as it
+//!   routes), the [`sink::Families`] shape every stage of the pipeline
+//!   shares, and a closure adapter.
 //! - [`spill`] — bounded out-of-core segment storage: full-fidelity
 //!   streams spill to disk as per-shard sorted runs and are k-way merged
 //!   back into columnar stores with byte-identical order.
@@ -58,17 +60,17 @@ pub mod time;
 pub use columns::{ColumnSlice, ColumnStore, OwnedColumns, RecordView};
 pub use dataset::{FrozenDatasets, StudyDatasets};
 pub use ids::{Asn, Country, DeviceId, HouseholdId, UserId};
-pub use intern::{EntityTables, IpId, IpTable, UserTable};
+pub use intern::{EntityTables, IpId, IpTable, KeyCollector, UserTable};
 pub use kernels::{
     filter_count, mask_eq_u32, mask_from, mask_ts_window, radix_sort_perm_keys,
-    radix_sort_perm_u32, radix_sort_records_by_ts, radix_sort_u32, radix_sort_u64, scratch_reset,
-    scratch_stats, with_scratch, ScratchArena, SelectionMask, U32Key,
+    radix_sort_perm_u32, radix_sort_records_by_ts, radix_sort_u32, scratch_reset, scratch_stats,
+    with_scratch, ScratchArena, SelectionMask, U32Key,
 };
 pub use labels::{AbuseInfo, AbuseLabels};
 pub use record::RequestRecord;
 pub use sampler::Samplers;
 pub use sink::{
-    CountingSink, FamilyPayload, FnSink, RequestSink, ShardPayload, ShardSink, SinkStorage, Tee,
+    Families, FamilyPayload, FnSink, RequestSink, ShardPayload, ShardSink, SinkStorage,
 };
 pub use spill::{
     read_checkpoint_segment, write_checkpoint_segment, IoOp, MemGauge, RunManifest, SpillError,

@@ -6,19 +6,18 @@
 //! into bounded spill segments, forking to several consumers — is the
 //! caller's business. [`RequestSink`] is that seam: emitters take
 //! `&mut dyn RequestSink`, and this module provides the standard
-//! implementations plus combinators:
+//! implementations:
 //!
 //! - [`ShardSink`] — the production path: routes each record through the
 //!   deterministic §3.1 samplers *during* the sim phase, retaining each
 //!   dataset family either in memory or as sorted spill segments
-//!   ([`SinkStorage`]),
+//!   ([`SinkStorage`]) and collecting the intern keys of every row it
+//!   keeps,
 //! - [`StudyDatasets`] — routes through the samplers into in-memory
 //!   stores only (tests and ad-hoc pipelines),
 //! - [`RequestStore`] — keeps everything (useful for bounded windows like
 //!   the pair-week store, and in tests),
-//! - [`Tee`] — duplicates the stream to two sinks,
-//! - [`FnSink`] — adapts a closure (tests and one-off probes),
-//! - [`CountingSink`] — wraps a sink and counts records passing through.
+//! - [`FnSink`] — adapts a closure (tests and one-off probes).
 //!
 //! # Lifecycle
 //!
@@ -34,8 +33,7 @@
 //! 3. [`RequestSink::finish`] exactly once at end of stream — spill
 //!    staging buffers drain to disk as the final (partial) run.
 //!
-//! Combinators forward `flush_segment`/`finish` to their inner sinks;
-//! for simple sinks both are no-ops.
+//! For simple sinks both `flush_segment` and `finish` are no-ops.
 //!
 //! # Storage faults
 //!
@@ -52,6 +50,7 @@ use std::sync::atomic::AtomicU64;
 use ipv6_study_netaddr::Ipv6Prefix;
 
 use crate::dataset::StudyDatasets;
+use crate::intern::KeyCollector;
 use crate::record::RequestRecord;
 use crate::sampler::Samplers;
 use crate::spill::{MemGauge, RunManifest, SegmentWriter, SpillError, SpillSession};
@@ -115,37 +114,6 @@ impl RequestSink for &mut dyn RequestSink {
     }
 }
 
-/// Duplicates every record to two sinks, in order: first `a`, then `b`.
-pub struct Tee<'a> {
-    a: &'a mut dyn RequestSink,
-    b: &'a mut dyn RequestSink,
-}
-
-impl<'a> Tee<'a> {
-    /// Creates a tee over two sinks.
-    pub fn new(a: &'a mut dyn RequestSink, b: &'a mut dyn RequestSink) -> Self {
-        Self { a, b }
-    }
-}
-
-impl sealed::Sealed for Tee<'_> {}
-impl RequestSink for Tee<'_> {
-    fn push(&mut self, rec: RequestRecord) {
-        self.a.push(rec);
-        self.b.push(rec);
-    }
-
-    fn flush_segment(&mut self) {
-        self.a.flush_segment();
-        self.b.flush_segment();
-    }
-
-    fn finish(&mut self) {
-        self.a.finish();
-        self.b.finish();
-    }
-}
-
 /// Adapts a closure into a sink.
 ///
 /// A blanket `impl<F: FnMut(..)> RequestSink for F` would collide with the
@@ -158,40 +126,6 @@ impl<F: FnMut(RequestRecord)> sealed::Sealed for FnSink<F> {}
 impl<F: FnMut(RequestRecord)> RequestSink for FnSink<F> {
     fn push(&mut self, rec: RequestRecord) {
         (self.0)(rec);
-    }
-}
-
-/// Wraps a sink and counts the records passing through it.
-pub struct CountingSink<'a> {
-    inner: &'a mut dyn RequestSink,
-    count: u64,
-}
-
-impl<'a> CountingSink<'a> {
-    /// Creates a counting wrapper around `inner`.
-    pub fn new(inner: &'a mut dyn RequestSink) -> Self {
-        Self { inner, count: 0 }
-    }
-
-    /// Records seen so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
-impl sealed::Sealed for CountingSink<'_> {}
-impl RequestSink for CountingSink<'_> {
-    fn push(&mut self, rec: RequestRecord) {
-        self.count += 1;
-        self.inner.push(rec);
-    }
-
-    fn flush_segment(&mut self) {
-        self.inner.flush_segment();
-    }
-
-    fn finish(&mut self) {
-        self.inner.finish();
     }
 }
 
@@ -263,18 +197,26 @@ impl FamilyStore {
     fn into_payload(self) -> FamilyPayload {
         match self {
             FamilyStore::Memory(s) => FamilyPayload::Rows(s),
-            FamilyStore::Spill(w) => FamilyPayload::Runs(w.into_manifest()),
+            FamilyStore::Spill(w) => FamilyPayload::Runs(vec![w.into_manifest()]),
         }
     }
 }
 
-/// One dataset family's finished output: in-memory rows or a spilled run
-/// manifest, depending on the run's [`SinkStorage`].
+/// One dataset family's finished output: in-memory rows or spilled run
+/// manifests, depending on the run's [`SinkStorage`].
 pub enum FamilyPayload {
     /// The family's records, resident in memory.
     Rows(RequestStore),
-    /// The family's records, spilled as sorted runs on disk.
-    Runs(RunManifest),
+    /// The family's records, spilled as sorted runs on disk: one manifest
+    /// per shard, in plan order.
+    Runs(Vec<RunManifest>),
+}
+
+impl Default for FamilyPayload {
+    /// No records (the neutral element of [`FamilyPayload::append`]).
+    fn default() -> Self {
+        FamilyPayload::Rows(RequestStore::new())
+    }
 }
 
 impl FamilyPayload {
@@ -282,26 +224,196 @@ impl FamilyPayload {
     pub fn rows(&self) -> u64 {
         match self {
             FamilyPayload::Rows(s) => s.len() as u64,
-            FamilyPayload::Runs(m) => m.rows(),
+            FamilyPayload::Runs(m) => m.iter().map(RunManifest::rows).sum(),
         }
+    }
+
+    /// Appends `other`'s records after this family's own, preserving
+    /// both orders — the driver's plan-order merge. Row stores
+    /// concatenate; manifest lists concatenate without moving a record.
+    ///
+    /// # Panics
+    /// Panics when one side holds rows and the other runs, unless the row
+    /// side is empty: one run never mixes storage modes.
+    pub fn append(&mut self, other: FamilyPayload) {
+        match (&mut *self, other) {
+            (FamilyPayload::Rows(a), FamilyPayload::Rows(b)) => a.extend_from(b),
+            (FamilyPayload::Runs(a), FamilyPayload::Runs(b)) => a.extend(b),
+            (FamilyPayload::Rows(a), runs) if a.is_empty() => *self = runs,
+            (FamilyPayload::Runs(_), FamilyPayload::Rows(b)) if b.is_empty() => {}
+            _ => panic!("a dataset family cannot mix in-memory rows and spilled runs"),
+        }
+    }
+}
+
+/// The retained dataset families of a study in **freeze order**: the
+/// request, user and IP samples, the prefix samples ascending by length,
+/// then the full-fidelity abuse and pair-window streams.
+///
+/// Generic over what a family holds: shard sinks hand over
+/// `Families<FamilyPayload>`, the driver merges those in plan order, and
+/// the freeze turns them into `Families<FrozenStore>` — one shape from
+/// the sim to the analysis.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Families<T> {
+    /// Record random sample (§3.1).
+    pub request: T,
+    /// User random sample (§3.1).
+    pub user: T,
+    /// IP random sample (§3.1).
+    pub ip: T,
+    /// Per-length IPv6 prefix random samples, ascending by length.
+    pub prefixes: Vec<(u8, T)>,
+    /// Full-fidelity abuse stream (empty for benign shards).
+    pub abuse: T,
+    /// Full-fidelity pair-window stream (last study days).
+    pub pair: T,
+}
+
+impl<T> Families<T> {
+    /// Families for the given prefix lengths (sorted and deduplicated
+    /// here), every family `T::default()`.
+    pub fn new(prefix_lengths: &[u8]) -> Self
+    where
+        T: Default,
+    {
+        Self::with(prefix_lengths, |_| T::default())
+    }
+
+    /// Families for the given prefix lengths (sorted and deduplicated
+    /// here), each built by `make` from its name (`request`, `user`,
+    /// `ip`, `p<len>`, `abuse`, `pair`) in freeze order.
+    pub fn with(prefix_lengths: &[u8], mut make: impl FnMut(&str) -> T) -> Self {
+        let mut lengths = prefix_lengths.to_vec();
+        lengths.sort_unstable();
+        lengths.dedup();
+        Self {
+            request: make("request"),
+            user: make("user"),
+            ip: make("ip"),
+            prefixes: lengths
+                .into_iter()
+                .map(|len| (len, make(&format!("p{len}"))))
+                .collect(),
+            abuse: make("abuse"),
+            pair: make("pair"),
+        }
+    }
+
+    /// The prefix lengths, ascending.
+    pub fn prefix_lengths(&self) -> Vec<u8> {
+        self.prefixes.iter().map(|(len, _)| *len).collect()
+    }
+
+    /// Number of families.
+    fn len(&self) -> usize {
+        5 + self.prefixes.len()
+    }
+
+    /// The families in freeze order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        [&self.request, &self.user, &self.ip]
+            .into_iter()
+            .chain(self.prefixes.iter().map(|(_, f)| f))
+            .chain([&self.abuse, &self.pair])
+    }
+
+    /// The families in freeze order, by value.
+    pub fn into_vec(self) -> Vec<T> {
+        let mut v = Vec::with_capacity(self.len());
+        v.extend([self.request, self.user, self.ip]);
+        v.extend(self.prefixes.into_iter().map(|(_, f)| f));
+        v.extend([self.abuse, self.pair]);
+        v
+    }
+
+    /// Rebuilds families from values in freeze order — the inverse of
+    /// [`Families::into_vec`] for the given ascending prefix lengths.
+    /// `None` when the value count does not match.
+    pub fn from_vec(prefix_lengths: &[u8], values: Vec<T>) -> Option<Self> {
+        if values.len() != 5 + prefix_lengths.len() {
+            return None;
+        }
+        let mut it = values.into_iter();
+        let mut next = || it.next();
+        Some(Self {
+            request: next()?,
+            user: next()?,
+            ip: next()?,
+            prefixes: prefix_lengths
+                .iter()
+                .map(|&len| next().map(|f| (len, f)))
+                .collect::<Option<_>>()?,
+            abuse: next()?,
+            pair: next()?,
+        })
+    }
+
+    /// Pairs every family with the same family of `other`.
+    ///
+    /// # Panics
+    /// Panics when the prefix-length sets differ.
+    pub fn zip<U>(self, other: Families<U>) -> Families<(T, U)> {
+        assert_eq!(
+            self.prefix_lengths(),
+            other.prefix_lengths(),
+            "cannot pair families with different prefix-length sets"
+        );
+        Families {
+            request: (self.request, other.request),
+            user: (self.user, other.user),
+            ip: (self.ip, other.ip),
+            prefixes: self
+                .prefixes
+                .into_iter()
+                .zip(other.prefixes)
+                .map(|((len, a), (_, b))| (len, (a, b)))
+                .collect(),
+            abuse: (self.abuse, other.abuse),
+            pair: (self.pair, other.pair),
+        }
+    }
+
+    /// Applies `f` to every family, keeping the shape.
+    pub fn map<U>(self, mut f: impl FnMut(T) -> U) -> Families<U> {
+        Families {
+            request: f(self.request),
+            user: f(self.user),
+            ip: f(self.ip),
+            prefixes: self
+                .prefixes
+                .into_iter()
+                .map(|(len, v)| (len, f(v)))
+                .collect(),
+            abuse: f(self.abuse),
+            pair: f(self.pair),
+        }
+    }
+}
+
+impl Families<FamilyPayload> {
+    /// Appends every family of `other` after this one's (plan-order
+    /// merge, see [`FamilyPayload::append`]).
+    ///
+    /// # Panics
+    /// Panics when the prefix-length sets differ.
+    pub fn append(&mut self, other: Families<FamilyPayload>) {
+        *self = std::mem::take(self).zip(other).map(|(mut mine, theirs)| {
+            mine.append(theirs);
+            mine
+        });
     }
 }
 
 /// Everything a finished [`ShardSink`] produced, handed back to the
 /// driver for the merge phase.
 pub struct ShardPayload {
-    /// Record random sample (§3.1).
-    pub request: FamilyPayload,
-    /// User random sample (§3.1).
-    pub user: FamilyPayload,
-    /// IP random sample (§3.1).
-    pub ip: FamilyPayload,
-    /// Per-length IPv6 prefix random samples, ascending by length.
-    pub prefixes: Vec<(u8, FamilyPayload)>,
-    /// Full-fidelity abuse stream (abuse shards only).
-    pub abuse: Option<FamilyPayload>,
-    /// Full-fidelity pair-window stream (last three study days).
-    pub pair: FamilyPayload,
+    /// The retained families.
+    pub families: Families<FamilyPayload>,
+    /// The distinct entity keys of every retained row — the shard's share
+    /// of the study's intern tables, so the freeze never re-reads rows to
+    /// find them.
+    pub keys: KeyCollector,
     /// Records offered to the samplers (excludes nothing; the abuse
     /// stream sees the same records before sampling).
     pub offered: u64,
@@ -320,13 +432,11 @@ pub struct ShardPayload {
 /// then the pair-window stream when [`ShardSink::set_pair_routing`] is on.
 pub struct ShardSink<'a> {
     samplers: Samplers,
-    request: FamilyStore,
-    user: FamilyStore,
-    ip: FamilyStore,
-    prefixes: Vec<(u8, FamilyStore)>,
-    abuse: Option<FamilyStore>,
-    pair: FamilyStore,
+    families: Families<FamilyStore>,
+    /// Whether the full-fidelity abuse stream is on (abuse shards).
+    collect_abuse: bool,
     pair_routing: bool,
+    keys: KeyCollector,
     offered: u64,
     records: u64,
     gauge: Option<(&'a MemGauge, &'a AtomicU64)>,
@@ -350,22 +460,12 @@ impl<'a> ShardSink<'a> {
         storage: SinkStorage<'a>,
         gauge: Option<(&'a MemGauge, &'a AtomicU64)>,
     ) -> Self {
-        let mut lengths: Vec<u8> = prefix_lengths.to_vec();
-        lengths.sort_unstable();
-        lengths.dedup();
-        let prefixes = lengths
-            .into_iter()
-            .map(|len| (len, FamilyStore::new(&storage, &format!("p{len}"))))
-            .collect();
         Self {
             samplers,
-            request: FamilyStore::new(&storage, "request"),
-            user: FamilyStore::new(&storage, "user"),
-            ip: FamilyStore::new(&storage, "ip"),
-            prefixes,
-            abuse: collect_abuse.then(|| FamilyStore::new(&storage, "abuse")),
-            pair: FamilyStore::new(&storage, "pair"),
+            families: Families::with(prefix_lengths, |name| FamilyStore::new(&storage, name)),
+            collect_abuse,
             pair_routing: false,
+            keys: KeyCollector::new(),
             offered: 0,
             records: 0,
             gauge,
@@ -392,64 +492,65 @@ impl<'a> ShardSink<'a> {
     }
 
     /// Routes one record through the samplers into the family stores,
-    /// surfacing the first storage error.
+    /// recording its entity keys when any family keeps it, and surfacing
+    /// the first storage error.
     fn route(&mut self, rec: RequestRecord) -> Result<(), SpillError> {
-        if let Some(abuse) = &mut self.abuse {
-            abuse.push(rec)?;
+        let f = &mut self.families;
+        let mut kept = false;
+        if self.collect_abuse {
+            f.abuse.push(rec)?;
+            kept = true;
         }
         self.offered += 1;
         if self.samplers.request_sampled(&rec) {
-            self.request.push(rec)?;
+            f.request.push(rec)?;
+            kept = true;
         }
         if self.samplers.user_sampled(rec.user) {
-            self.user.push(rec)?;
+            f.user.push(rec)?;
+            kept = true;
         }
         if self.samplers.ip_sampled(&rec) {
-            self.ip.push(rec)?;
+            f.ip.push(rec)?;
+            kept = true;
         }
         if let Some(addr) = rec.ipv6() {
-            for (len, store) in &mut self.prefixes {
+            for (len, store) in &mut f.prefixes {
                 if self
                     .samplers
                     .prefix_sampled(Ipv6Prefix::containing(addr, *len))
                 {
                     store.push(rec)?;
+                    kept = true;
                 }
             }
         }
         if self.pair_routing {
-            self.pair.push(rec)?;
+            f.pair.push(rec)?;
+            kept = true;
+        }
+        if kept {
+            self.keys.add(&rec);
         }
         Ok(())
     }
 
     /// Finishes every family store, surfacing the first storage error.
     fn finish_families(&mut self) -> Result<(), SpillError> {
-        self.request.finish()?;
-        self.user.finish()?;
-        self.ip.finish()?;
-        for (_, store) in &mut self.prefixes {
+        let f = &mut self.families;
+        for store in [&mut f.request, &mut f.user, &mut f.ip] {
             store.finish()?;
         }
-        if let Some(abuse) = &mut self.abuse {
-            abuse.finish()?;
+        for (_, store) in &mut f.prefixes {
+            store.finish()?;
         }
-        self.pair.finish()
+        f.abuse.finish()?;
+        f.pair.finish()
     }
 
     /// Mutable row bytes currently held in memory across all families.
     fn live_bytes(&self) -> u64 {
-        let mut bytes = self.request.live_bytes()
-            + self.user.live_bytes()
-            + self.ip.live_bytes()
-            + self.pair.live_bytes();
-        for (_, store) in &self.prefixes {
-            bytes += store.live_bytes();
-        }
-        if let Some(abuse) = &self.abuse {
-            bytes += abuse.live_bytes();
-        }
-        bytes
+        self.families.iter().map(FamilyStore::live_bytes).sum()
     }
 
     fn publish_gauge(&self) {
@@ -462,21 +563,16 @@ impl<'a> ShardSink<'a> {
     /// have been called first (spill writers assert it). A sink that
     /// latched a storage error refuses to produce a payload — the typed
     /// error surfaces instead, so partial data never reaches the merge.
-    pub fn into_payload(self) -> Result<ShardPayload, SpillError> {
+    /// The key set is compacted here, on the shard's worker, so the
+    /// driver's union starts from per-shard distinct keys.
+    pub fn into_payload(mut self) -> Result<ShardPayload, SpillError> {
         if let Some(e) = self.error {
             return Err(e);
         }
+        self.keys.compact();
         Ok(ShardPayload {
-            request: self.request.into_payload(),
-            user: self.user.into_payload(),
-            ip: self.ip.into_payload(),
-            prefixes: self
-                .prefixes
-                .into_iter()
-                .map(|(len, store)| (len, store.into_payload()))
-                .collect(),
-            abuse: self.abuse.map(FamilyStore::into_payload),
-            pair: self.pair.into_payload(),
+            families: self.families.map(FamilyStore::into_payload),
+            keys: self.keys,
             offered: self.offered,
             records: self.records,
         })
@@ -556,35 +652,12 @@ mod tests {
     }
 
     #[test]
-    fn tee_duplicates_in_order() {
-        let mut a = RequestStore::new();
-        let mut b = RequestStore::new();
-        let mut tee = Tee::new(&mut a, &mut b);
-        tee.push(rec(1, 0));
-        tee.push(rec(2, 1));
-        tee.finish();
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 2);
-    }
-
-    #[test]
     fn fn_sink_adapts_closures() {
         let mut seen = Vec::new();
         let mut sink = FnSink(|r: RequestRecord| seen.push(r.user));
         sink.push(rec(3, 0));
         sink.push(rec(4, 1));
         assert_eq!(seen, vec![UserId(3), UserId(4)]);
-    }
-
-    #[test]
-    fn counting_sink_counts_and_forwards() {
-        let mut store = RequestStore::new();
-        let mut counter = CountingSink::new(&mut store);
-        for i in 0..5 {
-            counter.push(rec(i, i as u32));
-        }
-        assert_eq!(counter.count(), 5);
-        assert_eq!(store.len(), 5);
     }
 
     #[test]
@@ -614,23 +687,70 @@ mod tests {
 
         assert_eq!(payload.offered, reference.offered);
         assert_eq!(payload.records, 2_000);
-        assert!(payload.abuse.is_none());
+        let f = &payload.families;
         let rows = |p: &FamilyPayload| match p {
             FamilyPayload::Rows(s) => s.len(),
             FamilyPayload::Runs(_) => unreachable!("memory storage"),
         };
-        assert_eq!(rows(&payload.request), reference.request_sample.len());
-        assert_eq!(rows(&payload.user), reference.user_sample.len());
-        assert_eq!(rows(&payload.ip), reference.ip_sample.len());
-        assert_eq!(rows(&payload.pair), ref_pair.len());
+        assert_eq!(rows(&f.abuse), 0, "benign shards keep no abuse stream");
+        assert_eq!(rows(&f.request), reference.request_sample.len());
+        assert_eq!(rows(&f.user), reference.user_sample.len());
+        assert_eq!(rows(&f.ip), reference.ip_sample.len());
+        assert_eq!(rows(&f.pair), ref_pair.len());
         // Duplicated/unsorted prefix lengths collapse to ascending order.
-        assert_eq!(
-            payload.prefixes.iter().map(|(l, _)| *l).collect::<Vec<_>>(),
-            vec![48, 64]
-        );
-        for (len, p) in &payload.prefixes {
+        assert_eq!(f.prefix_lengths(), vec![48, 64]);
+        for (len, p) in &f.prefixes {
             assert_eq!(rows(p), reference.prefix_sample(*len).len(), "/{len}");
         }
+        // The shard's keys are exactly those of the rows it kept.
+        let mut kept = RequestStore::new();
+        for p in f.iter() {
+            if let FamilyPayload::Rows(s) = p {
+                for r in s.iter_unordered() {
+                    kept.push(*r);
+                }
+            }
+        }
+        let direct = crate::intern::EntityTables::build(kept.iter_unordered());
+        assert_eq!(payload.keys.into_tables(), direct);
+    }
+
+    #[test]
+    fn families_round_trip_through_freeze_order() {
+        let f = Families::with(&[64, 48, 64], str::to_string);
+        let names: Vec<&String> = f.iter().collect();
+        assert_eq!(
+            names,
+            ["request", "user", "ip", "p48", "p64", "abuse", "pair"]
+        );
+        let lengths = f.prefix_lengths();
+        let back = Families::from_vec(&lengths, f.clone().into_vec()).unwrap();
+        assert_eq!(back, f);
+        assert!(Families::<u8>::from_vec(&lengths, vec![0; 3]).is_none());
+        assert_eq!(f.map(|n| n.len()).prefixes, [(48, 3), (64, 3)]);
+    }
+
+    #[test]
+    fn family_payloads_append_in_order_and_treat_empty_rows_as_neutral() {
+        let mut a = FamilyPayload::default();
+        let mut first = RequestStore::new();
+        first.push(rec(1, 5));
+        a.append(FamilyPayload::Rows(first));
+        let mut second = RequestStore::new();
+        second.push(rec(2, 5));
+        a.append(FamilyPayload::Rows(second));
+        match &mut a {
+            FamilyPayload::Rows(s) => {
+                let users: Vec<UserId> = s.all().iter().map(|r| r.user).collect();
+                assert_eq!(users, [UserId(1), UserId(2)], "plan order breaks ties");
+            }
+            FamilyPayload::Runs(_) => unreachable!(),
+        }
+        let mut runs = FamilyPayload::default();
+        runs.append(FamilyPayload::Runs(Vec::new()));
+        runs.append(FamilyPayload::default());
+        assert!(matches!(runs, FamilyPayload::Runs(ref m) if m.is_empty()));
+        assert_eq!(runs.rows(), 0);
     }
 
     #[test]
@@ -678,19 +798,19 @@ mod tests {
         });
 
         assert_eq!(memory.offered, spilled.offered);
-        for (m, s, what) in [
-            (&memory.request, &spilled.request, "request"),
-            (&memory.user, &spilled.user, "user"),
-            (&memory.ip, &spilled.ip, "ip"),
-            (&memory.pair, &spilled.pair, "pair"),
-            (
-                memory.abuse.as_ref().unwrap(),
-                spilled.abuse.as_ref().unwrap(),
-                "abuse",
-            ),
-            (&memory.prefixes[0].1, &spilled.prefixes[0].1, "p64"),
-        ] {
-            assert_eq!(m.rows(), s.rows(), "{what} family row count");
+        for (i, (m, s)) in memory
+            .families
+            .iter()
+            .zip(spilled.families.iter())
+            .enumerate()
+        {
+            assert_eq!(m.rows(), s.rows(), "family {i} row count");
         }
+        assert_eq!(memory.families.abuse.rows(), 3_000);
+        assert_eq!(
+            memory.keys.into_tables(),
+            spilled.keys.into_tables(),
+            "keys do not depend on the storage mode"
+        );
     }
 }

@@ -51,10 +51,11 @@
 //!
 //! Each run is written as a self-describing frame — a
 //! [`RUN_HEADER_BYTES`]-byte header (magic, row count, xxHash64 chain
-//! checksum) followed by the 35-byte rows — and both read passes (key
-//! collection and the k-way merge) re-derive the checksum and length so
-//! torn writes and flipped bytes are *detected*, never decoded into
-//! figures. A failed attempt's partial files are deleted by
+//! checksum) followed by the 35-byte rows — and the k-way merge's
+//! verification pass re-derives the checksum and length of every run
+//! before decoding a row, so torn writes and flipped bytes are
+//! *detected*, never decoded into figures. (The intern keys never come
+//! from disk: the shard sinks collect them as rows are routed.) A failed attempt's partial files are deleted by
 //! [`SpillSession::remove_attempt`]; the whole session directory is
 //! removed when the [`SpillSession`] drops — on success and on failure
 //! paths alike.
@@ -78,9 +79,9 @@ use ipv6_study_stats::hash::{stable_hash64, StableHasher};
 
 use crate::columns::ColumnStore;
 use crate::ids::{Asn, Country, UserId};
-use crate::intern::{EntityTables, IpTable, UserTable};
+use crate::intern::EntityTables;
 use crate::record::RequestRecord;
-use crate::store::{FrozenStore, RequestStore};
+use crate::store::FrozenStore;
 use crate::time::Timestamp;
 
 /// Default rows staged per spill segment. Chosen so a shard's staging
@@ -404,8 +405,8 @@ pub struct SpillStats {
     pub io_retries: u64,
     /// Runs whose checksum (or framing) failed verification.
     pub checksum_failures: u64,
-    /// Payload bytes that passed checksum verification, summed over both
-    /// read passes (key collection and the k-way merge).
+    /// Payload bytes that passed checksum verification in the k-way
+    /// merge's read pass.
     pub bytes_verified: u64,
     /// Current on-disk bytes across every live segment file.
     pub bytes_written: u64,
@@ -1023,126 +1024,14 @@ fn decode_row_at(
     })
 }
 
-/// Reads an entire manifest sequentially (run after run, i.e. file
-/// order), feeding each decoded record to `f`. Used for the key-collection
-/// pass, where order is irrelevant. Every run's length framing and chain
-/// checksum are verified; corruption surfaces as a typed error.
-pub fn read_manifest(m: &RunManifest, mut f: impl FnMut(RequestRecord)) -> Result<(), SpillError> {
-    if m.runs.is_empty() {
-        return Ok(());
-    }
-    let mut reader = FaultedReader::open(&m.path, 0, 0, Arc::clone(&m.shared))?;
-    let mut buf = [0u8; SPILL_ROW_BYTES];
-    for (run, meta) in m.runs.iter().enumerate() {
-        reader.read_header(run, meta)?;
-        let mut checksum = CHECKSUM_SEED;
-        for row in 0..meta.rows {
-            let row_offset = meta.offset + RUN_HEADER_BYTES as u64 + row * SPILL_ROW_BYTES as u64;
-            reader.read_exact_op(&mut buf, run, row_offset)?;
-            checksum = stable_hash64(checksum, &buf);
-            f(decode_row_at(&buf, &m.shared, &m.path, run, row_offset)?);
-        }
-        if checksum != meta.checksum {
-            m.shared.checksum_failures.fetch_add(1, Ordering::Relaxed);
-            return Err(SpillError::Corrupt {
-                path: m.path.clone(),
-                run,
-                offset: meta.offset,
-                reason: format!(
-                    "run checksum mismatch: computed {checksum:#018x}, expected {:#018x}",
-                    meta.checksum
-                ),
-            });
-        }
-        m.shared
-            .bytes_verified
-            .fetch_add(meta.rows * SPILL_ROW_BYTES as u64, Ordering::Relaxed);
-    }
-    Ok(())
-}
-
-/// Accumulates the distinct entity keys of a record stream with periodic
-/// sort+dedup compaction, then builds the shared [`EntityTables`].
-///
-/// `EntityTables` construction is order-independent given the same key
-/// sets (sort + dedup erase arrival order), so tables built here over
-/// spilled streams are bit-identical to tables built in memory over the
-/// same records — the linchpin of spill-mode determinism.
-#[derive(Debug, Default)]
-pub struct KeyCollector {
-    v4: Vec<u32>,
-    v6: Vec<u128>,
-    users: Vec<u64>,
-    compact_at: usize,
-}
-
-/// Compaction floor: below this many buffered keys, dedup isn't worth it.
-const COMPACT_FLOOR: usize = 1 << 20;
-
-impl KeyCollector {
-    /// An empty collector.
-    pub fn new() -> Self {
-        Self {
-            compact_at: COMPACT_FLOOR,
-            ..Self::default()
-        }
-    }
-
-    /// Adds one record's keys.
-    pub fn add(&mut self, rec: &RequestRecord) {
-        match rec.ip {
-            IpAddr::V4(a) => self.v4.push(u32::from(a)),
-            IpAddr::V6(a) => self.v6.push(u128::from(a)),
-        }
-        self.users.push(rec.user.raw());
-        if self.v4.len() + self.v6.len() + self.users.len() > self.compact_at {
-            self.compact();
-        }
-    }
-
-    /// Adds every record of an in-memory store.
-    pub fn add_store(&mut self, store: &RequestStore) {
-        for r in store.iter_unordered() {
-            self.add(r);
-        }
-    }
-
-    /// Adds every record of a spilled manifest (sequential verified read).
-    pub fn add_manifest(&mut self, m: &RunManifest) -> Result<(), SpillError> {
-        let mut keys = std::mem::take(self);
-        let result = read_manifest(m, |rec| keys.add(&rec));
-        *self = keys;
-        result
-    }
-
-    fn compact(&mut self) {
-        crate::kernels::radix_sort_u32(&mut self.v4);
-        self.v4.dedup();
-        self.v6.sort_unstable();
-        self.v6.dedup();
-        crate::kernels::radix_sort_u64(&mut self.users);
-        self.users.dedup();
-        let len = self.v4.len() + self.v6.len() + self.users.len();
-        self.compact_at = (len * 2).max(COMPACT_FLOOR);
-    }
-
-    /// Builds the shared intern tables from the collected keys.
-    pub fn into_tables(self) -> EntityTables {
-        EntityTables {
-            ips: IpTable::from_keys(self.v4, self.v6),
-            users: UserTable::from_keys(self.users),
-        }
-    }
-}
-
 /// One run's streaming read cursor for the k-way merge.
 ///
 /// The whole run is **verified before it streams**: `open` makes one
 /// chunked pass over the payload to check the chain checksum (and the
 /// length framing via short-read detection), then rewinds. Records
 /// therefore decode from verified bytes only — corruption can never
-/// reach the columnar encoder, whose intern lookups assume keys seen by
-/// the collection pass.
+/// reach the columnar encoder, whose intern lookups assume exactly the
+/// keys the shard sinks collected before the rows were written.
 struct RunCursor {
     reader: FaultedReader,
     meta: RunMeta,
@@ -1390,6 +1279,7 @@ pub fn read_checkpoint_segment(path: &Path) -> Result<Vec<RequestRecord>, SpillE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::RequestStore;
     use crate::time::SimDate;
 
     fn rec(user: u64, sec: u32, ip: &str) -> RequestRecord {
@@ -1400,6 +1290,12 @@ mod tests {
             asn: Asn(64496),
             country: Country::new("US"),
         }
+    }
+
+    /// The intern tables of `records` (the keys a shard sink would have
+    /// collected while routing them).
+    fn tables_of(records: &[RequestRecord]) -> Arc<EntityTables> {
+        Arc::new(EntityTables::from_records(records))
     }
 
     #[test]
@@ -1490,29 +1386,38 @@ mod tests {
     }
 
     /// An on-disk bad tag reports path + run index + byte offset through
-    /// the typed error (the old code aborted with no location).
+    /// the typed error (the old code aborted with no location). The run's
+    /// checksum is re-sealed over the bad bytes, so verification passes
+    /// and the merge's decoder is what must catch the tag.
     #[test]
     fn corrupt_tag_on_disk_reports_path_run_and_offset() {
         let session = SpillSession::create(None).unwrap();
         let mut w = session.writer(0, 0, "request", 2);
-        for r in [
+        let records = [
             rec(1, 0, "10.0.0.1"),
             rec(2, 1, "10.0.0.2"),
             rec(3, 2, "10.0.0.3"),
-        ] {
+        ];
+        for r in records {
             w.push(r).unwrap();
         }
         w.finish().unwrap();
-        let m = w.into_manifest();
+        let mut m = w.into_manifest();
         // Flip the second run's first row tag (run 1 starts after the
-        // first 2-row frame).
+        // first 2-row frame) and re-seal that run's checksum.
         let run1_offset = (RUN_HEADER_BYTES + 2 * SPILL_ROW_BYTES) as u64;
+        let payload = run1_offset as usize + RUN_HEADER_BYTES;
         let tag_offset = run1_offset + RUN_HEADER_BYTES as u64 + 12;
         let mut bytes = std::fs::read(&m.path).unwrap();
         bytes[tag_offset as usize] = 9;
+        let checksum = bytes[payload..]
+            .chunks(SPILL_ROW_BYTES)
+            .fold(CHECKSUM_SEED, stable_hash64);
+        bytes[payload - 8..payload].copy_from_slice(&checksum.to_le_bytes());
+        m.runs[1].checksum = checksum;
         std::fs::write(&m.path, &bytes).unwrap();
 
-        let err = read_manifest(&m, |_| {}).unwrap_err();
+        let err = merge_manifests(std::slice::from_ref(&m), &tables_of(&records)).unwrap_err();
         match err {
             SpillError::Corrupt {
                 path,
@@ -1545,16 +1450,14 @@ mod tests {
         bytes[target] ^= 0xFF;
         std::fs::write(&m.path, &bytes).unwrap();
 
-        let err = read_manifest(&m, |_| {}).unwrap_err();
+        let tables = Arc::new(EntityTables::default());
+        let err = merge_manifests(std::slice::from_ref(&m), &tables).unwrap_err();
         assert!(
             matches!(err, SpillError::Corrupt { run: 0, ref reason, .. }
                 if reason.contains("checksum mismatch")),
             "{err:?}"
         );
-        // The merge path detects it too.
-        let tables = Arc::new(EntityTables::default());
-        let err = merge_manifests(std::slice::from_ref(&m), &tables).unwrap_err();
-        assert!(matches!(err, SpillError::Corrupt { .. }), "{err:?}");
+        assert_eq!(session.stats().checksum_failures, 1);
     }
 
     #[test]
@@ -1569,7 +1472,8 @@ mod tests {
         let bytes = std::fs::read(&m.path).unwrap();
         std::fs::write(&m.path, &bytes[..bytes.len() - 10]).unwrap();
 
-        let err = read_manifest(&m, |_| {}).unwrap_err();
+        let tables = Arc::new(EntityTables::default());
+        let err = merge_manifests(std::slice::from_ref(&m), &tables).unwrap_err();
         assert!(
             matches!(err, SpillError::Corrupt { ref reason, .. }
                 if reason.contains("torn write")),
@@ -1610,11 +1514,7 @@ mod tests {
             reference.push(r);
         }
 
-        let mut keys = KeyCollector::new();
-        for m in &manifests {
-            keys.add_manifest(m).unwrap();
-        }
-        let tables = Arc::new(keys.into_tables());
+        let tables = tables_of(reference.all());
         let frozen = merge_into_frozen(&manifests, &tables).unwrap();
         assert_eq!(
             frozen.all().records().collect::<Vec<_>>(),
@@ -1623,11 +1523,8 @@ mod tests {
         );
         // Spill-built columns are exactly sized (the bytes() contract).
         assert_eq!(frozen.bytes(), frozen.len() * 18);
-        // Both verified read passes counted their payload bytes.
-        assert_eq!(
-            session.stats().bytes_verified,
-            2 * 7 * SPILL_ROW_BYTES as u64
-        );
+        // The merge's one verified read pass counted every payload byte.
+        assert_eq!(session.stats().bytes_verified, 7 * SPILL_ROW_BYTES as u64);
         assert_eq!(session.stats().checksum_failures, 0);
     }
 
@@ -1650,11 +1547,7 @@ mod tests {
         empty_b.finish().unwrap();
         let empty_b = empty_b.into_manifest();
 
-        let mut keys = KeyCollector::new();
-        for m in [&empty_a, &populated, &empty_b] {
-            keys.add_manifest(m).unwrap();
-        }
-        let tables = Arc::new(keys.into_tables());
+        let tables = tables_of(&records);
         let all = [empty_a, populated.clone(), empty_b];
         let merged = merge_into_frozen(&all, &tables).unwrap();
         let alone = merge_into_frozen(std::slice::from_ref(&populated), &tables).unwrap();
@@ -1721,9 +1614,8 @@ mod tests {
         }
         w.finish().unwrap();
         let m = w.into_manifest();
-        let mut seen = Vec::new();
-        read_manifest(&m, |r| seen.push(r)).unwrap();
-        assert_eq!(seen.len(), records.len());
+        let merged = merge_manifests(std::slice::from_ref(&m), &tables_of(&records)).unwrap();
+        assert_eq!(merged.len(), records.len());
         assert!(
             session.stats().io_retries > 0,
             "read faults must have fired"
@@ -1781,31 +1673,6 @@ mod tests {
             0,
             "removed files release their budget"
         );
-    }
-
-    #[test]
-    fn key_collector_matches_in_memory_table_build() {
-        let records: Vec<RequestRecord> = (0..500)
-            .map(|i| {
-                rec(
-                    i % 37,
-                    i as u32,
-                    if i % 3 == 0 {
-                        "192.0.2.9"
-                    } else {
-                        "2001:db8:9::1"
-                    },
-                )
-            })
-            .collect();
-        let mut store = RequestStore::new();
-        let mut keys = KeyCollector::new();
-        for &r in &records {
-            store.push(r);
-            keys.add(&r);
-        }
-        let direct = EntityTables::build(store.iter_unordered());
-        assert_eq!(keys.into_tables(), direct);
     }
 
     #[test]

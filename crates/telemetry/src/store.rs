@@ -138,13 +138,10 @@ impl RequestStore {
         m
     }
 
-    /// The distinct users appearing in a record slice, ascending — a
-    /// radix sort over the raw ids followed by an in-place dedup
-    /// (identical output to the old `sort_unstable` + `dedup`: the keys
-    /// are plain integers, so any correct sort agrees).
+    /// The distinct users appearing in a record slice, ascending.
     pub fn distinct_users(records: &[RequestRecord]) -> Vec<UserId> {
         let mut v: Vec<u64> = records.iter().map(|r| r.user.0).collect();
-        crate::kernels::radix_sort_u64(&mut v);
+        v.sort_unstable();
         v.dedup();
         v.into_iter().map(UserId).collect()
     }
@@ -430,26 +427,5 @@ mod tests {
             RequestStore::distinct_users(&recs),
             vec![UserId(1), UserId(2)]
         );
-    }
-
-    #[test]
-    fn distinct_users_radix_path_matches_comparison_sort() {
-        use crate::time::Timestamp;
-        use ipv6_study_stats::testgen::TestGen;
-        let mut g = TestGen::new(1234);
-        // Duplicate-heavy ids across the full u64 range.
-        let recs: Vec<RequestRecord> = g.vec_of(2000, |g| RequestRecord {
-            ts: Timestamp::from_secs(g.below(100) as u32),
-            user: UserId(g.next_u64() >> g.below(50)),
-            ip: "2001:db8::1".parse().unwrap(),
-            asn: Asn(64496),
-            country: Country::new("US"),
-        });
-        // The pre-kernel implementation, verbatim.
-        let mut old: Vec<UserId> = recs.iter().map(|r| r.user).collect();
-        old.sort_unstable();
-        old.dedup();
-        assert_eq!(RequestStore::distinct_users(&recs), old);
-        assert!(RequestStore::distinct_users(&[]).is_empty());
     }
 }

@@ -14,10 +14,13 @@
 //!    names exactly that shard.
 //! 3. **Failure policies** — `Abort` fails on the first failure without
 //!    retrying; `Retry` fails only after the retry budget is exhausted.
+//! 4. **Shard-collected intern keys** — the keys each shard collects while
+//!    routing rows are dropped with a failed attempt, so the union the
+//!    freeze interns equals a table build over the rows that survived.
 
 use ipv6_user_study::stats::hash::StableHasher;
-use ipv6_user_study::telemetry::ColumnSlice;
-use ipv6_user_study::{FailurePolicy, FaultInjector, Study, StudyConfig, StudyError};
+use ipv6_user_study::telemetry::{ColumnSlice, EntityTables, RequestRecord};
+use ipv6_user_study::{FailurePolicy, FaultInjector, StorageMode, Study, StudyConfig, StudyError};
 
 /// Order-sensitive digest of a record sequence.
 fn digest(records: ColumnSlice<'_>) -> u64 {
@@ -230,4 +233,51 @@ fn probabilistic_chaos_is_reproducible() {
             .collect::<Vec<_>>()
     );
     assert_identical(&a, &b, "probabilistic chaos twice");
+}
+
+/// The freeze interns the union of the shard-collected key sets instead of
+/// re-reading rows. That union must equal a table build over every frozen
+/// row — no key from a failed attempt (a retried benign shard's first
+/// try, every try of a dropped abuse shard) may leak into it — in both
+/// storage modes.
+#[test]
+fn shard_key_union_equals_a_table_build_over_the_frozen_rows() {
+    for storage in [StorageMode::InMemory, StorageMode::spill()] {
+        let mut cfg = StudyConfig::tiny();
+        cfg.threads = 3;
+        cfg.storage = storage.clone();
+        cfg.failure_policy = FailurePolicy::Degrade;
+        cfg.max_shard_retries = 1;
+        cfg.faults = Some(
+            FaultInjector::new()
+                .fail_shard(2, 1) // benign shard: recovers on its retry
+                .always_fail_shard(9), // abuse shard: dropped
+        );
+        let study = Study::run(cfg).expect("degrade completes");
+        let what = storage.label();
+        let faults = study.faults();
+        assert_eq!(faults.dropped_count(), 1, "{what}");
+        assert!(faults.dropped().any(|f| f.shard == 9), "{what}");
+        assert!(
+            faults
+                .failures
+                .iter()
+                .any(|f| f.shard == 2 && !f.dropped && f.attempts == 2),
+            "{what}: shard 2 recovered on its retry"
+        );
+
+        let d = study.datasets();
+        let mut stores = vec![&d.request_sample, &d.user_sample, &d.ip_sample];
+        stores.extend(d.prefix_samples.values());
+        stores.extend([study.abuse_store(), study.pair_store()]);
+        let rows: Vec<RequestRecord> = stores.iter().flat_map(|s| s.all().records()).collect();
+        let tables = d.request_sample.tables();
+        assert_eq!(**tables, EntityTables::build(rows.iter()), "{what}");
+        assert!(
+            stores
+                .iter()
+                .all(|s| std::sync::Arc::ptr_eq(s.tables(), tables)),
+            "{what}: every store shares the one table set"
+        );
+    }
 }

@@ -1,7 +1,7 @@
 //! Storage-layer chaos tests: deterministic I/O fault injection through
 //! the spill pipeline.
 //!
-//! Four contracts under test, the crash-safe storage layer's acceptance
+//! Five contracts under test, the crash-safe storage layer's acceptance
 //! criteria:
 //!
 //! 1. **I/O retry determinism** — transient write/read faults (including
@@ -17,6 +17,9 @@
 //!    dropped shard with `kind: "budget"`.
 //! 4. **Sparse shards** — near-empty populations (zero-record families,
 //!    empty run manifests) flow through the fallible merge unchanged.
+//! 5. **First error in family order** — when several families are
+//!    corrupt, the parallel freeze reports the same one at any thread
+//!    count.
 //!
 //! Every fault here is a pure function of the study seed, so each test
 //! replays bit-for-bit.
@@ -229,6 +232,65 @@ fn injected_corruption_is_a_typed_error_and_leaves_no_orphans() {
         .expect("parent dir survives the failed run")
         .collect();
     assert!(leftovers.is_empty(), "orphan spill entries: {leftovers:?}");
+    std::fs::remove_dir(&parent).expect("cleanup");
+}
+
+/// Several corrupted families freeze on the parallel pool, but the run
+/// reports one deterministic error: the first corrupted family in freeze
+/// order (request, user, ip, prefixes, abuse, pair), even when a larger
+/// family fails first on another worker. At rate 1.0 every family is
+/// corrupt, so the request sample's first run must be named; at 0.3 a
+/// seed-fixed subset is. Either way 1 and 8 threads agree exactly, and
+/// the failed session leaves no spill file behind.
+#[test]
+fn corrupted_families_report_the_first_in_family_order_at_1_and_8_threads() {
+    let parent = std::env::temp_dir().join(format!("ipv6-chaos-fam-{}", std::process::id()));
+    std::fs::create_dir_all(&parent).expect("create spill parent");
+    for rate in [1.0, 0.3] {
+        // The session directory name differs per run; everything else in
+        // the error must not.
+        let errors: Vec<(String, usize, u64, String)> = [1usize, 8]
+            .into_iter()
+            .map(|threads| {
+                let mut cfg = StudyConfig::tiny();
+                cfg.threads = threads;
+                cfg.storage = StorageMode::Spill {
+                    dir: Some(PathBuf::from(&parent)),
+                    segment_rows: 256,
+                };
+                cfg.faults = Some(FaultInjector::new().with_corrupt_rate(rate));
+                let err = match Study::run(cfg) {
+                    Err(StudyError::Spill(SpillError::Corrupt {
+                        path,
+                        run,
+                        offset,
+                        reason,
+                    })) => {
+                        assert!(path.starts_with(&parent), "{path:?} outside the session");
+                        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+                        (name.to_string(), run, offset, reason)
+                    }
+                    other => {
+                        panic!("rate {rate} threads {threads}: expected Corrupt, got {other:?}")
+                    }
+                };
+                let leftovers: Vec<_> = std::fs::read_dir(&parent)
+                    .expect("parent dir survives the failed run")
+                    .collect();
+                assert!(
+                    leftovers.is_empty(),
+                    "rate {rate} threads {threads}: orphan spill entries: {leftovers:?}"
+                );
+                err
+            })
+            .collect();
+        assert_eq!(errors[0], errors[1], "rate {rate}: 1 vs 8 threads");
+        if rate == 1.0 {
+            let (name, run, _, _) = &errors[0];
+            assert_eq!(name, "s00000-a00-request.seg", "first family, first shard");
+            assert_eq!(*run, 0);
+        }
+    }
     std::fs::remove_dir(&parent).expect("cleanup");
 }
 

@@ -33,6 +33,7 @@ const REQUIRED_PATHS: &[&str] = &[
     "$.sim.phases.sim",
     "$.sim.phases.merge",
     "$.sim.phases.sort",
+    "$.sim.phases.sort_intern",
     "$.sim.phases.total",
     "$.sim.shards[].label",
     "$.sim.shards[].records",

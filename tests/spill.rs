@@ -114,6 +114,38 @@ fn spill_runs_match_memory_runs_through_the_full_analysis_at_1_and_8_threads() {
     }
 }
 
+/// The parallel freeze's contract: whatever the freeze-pool size and
+/// storage mode, every family freezes against the same intern tables to
+/// the same rows, and the whole registry renders the same document.
+/// Equal tables plus equal raw rows mean equal dense-id columns.
+#[test]
+fn parallel_freeze_is_byte_identical_across_storage_modes_at_1_3_and_8_threads() {
+    let mut reference: Option<(Study, String)> = None;
+    for threads in [1usize, 3, 8] {
+        for storage in [StorageMode::InMemory, StorageMode::spill()] {
+            let mut cfg = StudyConfig::tiny();
+            cfg.threads = threads;
+            cfg.analysis_threads = Some(2);
+            cfg.storage = storage.clone();
+            let mut study = Study::run(cfg).expect("run");
+            let md = render_markdown(&run_all(&mut study));
+            let what = format!("threads={threads} storage={}", storage.label());
+            match &reference {
+                None => reference = Some((study, md)),
+                Some((first, first_md)) => {
+                    assert_identical(first, &study, &what);
+                    assert_eq!(
+                        **first.datasets().request_sample.tables(),
+                        **study.datasets().request_sample.tables(),
+                        "{what}: intern tables"
+                    );
+                    assert_eq!(first_md, &md, "{what}: rendered document");
+                }
+            }
+        }
+    }
+}
+
 /// Segment-boundary property: the merged output cannot depend on where
 /// run boundaries fall — tiny runs (many segment flushes per shard), the
 /// default, and `usize::MAX` (one whole-shard run per family, never a
