@@ -27,7 +27,7 @@
 //!
 //! Group-by analyses take a pre-windowed [`index::DatasetIndex`]; series
 //! and ratio analyses take plain `&[RequestRecord]` slices (pre-windowed by
-//! [`RequestStore`](ipv6_study_telemetry::RequestStore)). Either way they
+//! [`FrozenStore`](ipv6_study_telemetry::FrozenStore)). Either way they
 //! know nothing about the simulator, so they would run unchanged over real
 //! platform telemetry.
 

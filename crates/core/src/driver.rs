@@ -21,10 +21,12 @@
 //!    order ("shard-major": benign shards ascending, then campaign
 //!    shards ascending) is a constant of the config.
 //!
-//! [`RequestStore`] sorts records by timestamp with a *stable* sort, so
-//! equal-timestamp ties resolve by that insertion order — identical in
-//! every run. A `threads = 1` run executes the same plan on one worker
-//! and produces the same bytes.
+//! Each shard's sink stable-sorts its runs by timestamp, and the freeze's
+//! k-way merge breaks timestamp ties by run order — plan order — so
+//! equal-timestamp ties resolve by that insertion order, identical in
+//! every run and in either byte backend of the run store. A
+//! `threads = 1` run executes the same plan on one worker and produces
+//! the same bytes.
 //!
 //! # Fault tolerance
 //!
@@ -40,15 +42,21 @@
 //!
 //! # Freeze
 //!
-//! Each shard's sink also collects the intern keys (addresses and users)
-//! of every row it keeps, so after the merge the freeze ("sort" phase)
-//! never reads a row just to intern it: the payload key sets union in
-//! plan order into the shared tables, then the 21 families freeze on a
-//! pool of `threads` workers, largest first (`freeze`). Results land
-//! in family-order slots, so output is byte-identical at any thread
-//! count, and when several families fail the first error in family
-//! order is the one reported. A failed shard attempt's keys are dropped
-//! with its unwind, like its rows.
+//! Every retained row is stored the same way, in both storage modes and
+//! in the incremental engine: as sorted runs (see
+//! [`ipv6_study_telemetry::spill`]), in memory or in segment files. The
+//! merge phase only concatenates run manifests in plan order. Each
+//! shard's sink also collects the intern keys (addresses and users) of
+//! every row it keeps, so the freeze ("sort" phase) never reads a row
+//! just to intern it: the key sets union into the shared tables, then the
+//! 21 families k-way merge into columns on a pool of `threads` workers,
+//! largest first (`freeze`). Results land in family-order slots, so
+//! output is byte-identical at any thread count, and when several
+//! families fail the first error in family order is the one reported. A
+//! failed shard attempt's keys are dropped with its unwind, like its
+//! rows. The incremental engine freezes through the same function, once
+//! per extension, with the runs it carries in front of the suffix's
+//! (`Simulated::append`).
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -68,8 +76,8 @@ use ipv6_study_obs::timer::{time_phase, PhaseStat};
 use ipv6_study_telemetry::spill::merge_into_frozen;
 use ipv6_study_telemetry::{
     DateRange, Families, FamilyPayload, FrozenDatasets, FrozenStore, KeyCollector, MemGauge,
-    RequestSink, RequestStore, Samplers, ShardPayload, ShardSink, SimDate, SinkStorage, SpillError,
-    SpillSession, SpillStats, StorageMode,
+    RequestSink, RunManifest, Samplers, ShardPayload, ShardSink, SimDate, SpillError, SpillSession,
+    SpillStats, StorageMode,
 };
 
 use crate::config::StudyConfig;
@@ -137,7 +145,7 @@ impl ShardMetrics {
 }
 
 /// Per-phase timing for a completed run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
     /// Worker threads the run used.
     pub threads: usize,
@@ -150,20 +158,22 @@ pub struct RunMetrics {
     pub plan_wall: Duration,
     /// Wall-clock of the parallel simulation phase.
     pub sim_wall: Duration,
-    /// Wall-clock of the in-order merge phase.
+    /// Wall-clock of the in-order merge phase (on an extension, plus
+    /// loading or thawing the runs it carries).
     pub merge_wall: Duration,
     /// Wall-clock of the whole freeze phase: the intern step, then every
-    /// family's timestamp sort (or k-way merge) and columnar encode.
+    /// family's k-way merge and columnar encode.
     pub sort_wall: Duration,
     /// The intern step's share of [`RunMetrics::sort_wall`]: the union of
     /// the collected key sets and the intern-table build.
     pub intern_wall: Duration,
     /// Wall-clock of the whole [`crate::Study::run`], set by the caller.
     pub total_wall: Duration,
-    /// High-water mark of mutable row bytes held in memory during the sim
-    /// phase (shard-local stores plus spill staging buffers; frozen
-    /// columns, intern tables, and merge cursors excluded). This is the
-    /// number [`StorageMode::Spill`] bounds.
+    /// High-water mark of row bytes held in memory during the sim phase:
+    /// staged rows (40 bytes each) plus, in memory mode, the in-memory
+    /// run frames (35 bytes per row). Frozen columns, intern tables, and
+    /// merge cursors are excluded. With [`StorageMode::Spill`] the frames
+    /// are on disk, so this is the number spilling bounds.
     ///
     /// [`StorageMode::Spill`]: ipv6_study_telemetry::StorageMode::Spill
     pub peak_store_bytes: u64,
@@ -239,7 +249,7 @@ impl RunMetrics {
     }
 }
 
-/// The driver's result: merged datasets, stores, metrics, and the fault
+/// The driver's result: frozen datasets, stores, metrics, and the fault
 /// report (clean on a run with no shard failures).
 pub(crate) struct DriverOutput {
     pub datasets: FrozenDatasets,
@@ -247,7 +257,7 @@ pub(crate) struct DriverOutput {
     pub pair_store: FrozenStore,
     pub metrics: RunMetrics,
     pub faults: FaultReport,
-    /// The spill session's storage counters (all zero in memory mode).
+    /// The session's storage counters (all zero in memory mode).
     pub spill_stats: SpillStats,
     /// Distinct benign users enumerated on the first study day, summed
     /// over the merged shards.
@@ -255,6 +265,75 @@ pub(crate) struct DriverOutput {
     /// How many of those the user sampler selected — the numerator of the
     /// realized user-sample rate.
     pub users_sampled: u64,
+}
+
+/// Everything the one freeze needs: every family's runs in plan order,
+/// the key sets of the rows they hold, and the counters, metrics and
+/// fault report of the run that produced them. [`simulate`] builds one;
+/// the incremental engine builds one from the runs it carries and
+/// appends the suffix's.
+pub(crate) struct Simulated {
+    pub families: Families<FamilyPayload>,
+    pub keys: Vec<KeyCollector>,
+    /// Records offered to the samplers.
+    pub offered: u64,
+    /// Distinct benign users enumerated on the first study day.
+    pub users_seen: u64,
+    /// How many of those the user sampler selected.
+    pub users_sampled: u64,
+    pub metrics: RunMetrics,
+    pub faults: FaultReport,
+}
+
+impl Simulated {
+    /// Appends `later`'s runs after this one's and adds up the counters.
+    /// The metrics and fault report are `later`'s — the run that
+    /// simulated — with this side's merge wall added.
+    ///
+    /// # Panics
+    /// Panics when the prefix-length sets differ.
+    pub fn append(&mut self, later: Simulated) {
+        self.families.append(later.families);
+        self.keys.extend(later.keys);
+        self.offered += later.offered;
+        self.users_seen += later.users_seen;
+        self.users_sampled += later.users_sampled;
+        let merge_wall = self.metrics.merge_wall;
+        self.metrics = later.metrics;
+        self.metrics.merge_wall += merge_wall;
+        self.faults = later.faults;
+    }
+
+    /// The freeze ("sort") phase: freezes every family once (see
+    /// [`freeze`]) and folds the session's final storage counters — the
+    /// merge's read passes verify every file run — into the output.
+    pub fn freeze(
+        self,
+        samplers: Samplers,
+        session: &SpillSession,
+        threads: usize,
+    ) -> Result<DriverOutput, StudyError> {
+        let t0 = Instant::now();
+        let frozen = freeze(self.families, self.keys, threads)?;
+        let mut metrics = self.metrics;
+        metrics.intern_wall = frozen.intern_wall;
+        let (datasets, abuse_store, pair_store) = frozen.into_stores(samplers, self.offered);
+        metrics.sort_wall = t0.elapsed();
+        let spill_stats = session.stats();
+        let mut faults = self.faults;
+        faults.io_retries = spill_stats.io_retries;
+        faults.checksum_failures = spill_stats.checksum_failures;
+        Ok(DriverOutput {
+            datasets,
+            abuse_store,
+            pair_store,
+            metrics,
+            faults,
+            spill_stats,
+            users_seen: self.users_seen,
+            users_sampled: self.users_sampled,
+        })
+    }
 }
 
 /// Builds the shard plan. Depends only on the config (see the module
@@ -293,18 +372,18 @@ struct ShardEnv<'a> {
     /// suffix run reproduces exactly the rows a full run emits there).
     days: DateRange,
     pair_start: SimDate,
-    /// The run's spill session when `config.storage` is `Spill`.
-    spill: Option<&'a SpillSession>,
-    /// Rows staged per family before a sorted run is spilled (unused in
-    /// memory mode).
+    /// The run store the shards write their runs into.
+    session: &'a SpillSession,
+    /// Rows staged per family before a sorted run is flushed
+    /// (`usize::MAX` in memory mode: one run per shard and family).
     segment_rows: usize,
     /// Run-wide mutable-row-bytes high-water gauge.
     gauge: &'a MemGauge,
 }
 
 /// Simulates one shard attempt through one [`ShardSink`] that applies the
-/// §3.1 samplers in-stream and retains each family per the configured
-/// storage mode.
+/// §3.1 samplers in-stream and streams each family into the session's
+/// runs.
 ///
 /// `progress` is updated with the running record count at every day
 /// boundary; when the attempt fails (injected or real), the caller reads
@@ -327,21 +406,14 @@ fn run_shard(
     published: &AtomicU64,
 ) -> Result<ShardOutput, SpillError> {
     let t0 = Instant::now();
-    let storage = match env.spill {
-        Some(session) => SinkStorage::Spill {
-            session,
-            shard,
-            attempt,
-            segment_rows: env.segment_rows,
-        },
-        None => SinkStorage::Memory,
-    };
+    let writers = Families::with(&env.config.prefix_lengths, |family| {
+        env.session.writer(shard, attempt, family, env.segment_rows)
+    });
     let collect_abuse = matches!(work, ShardWork::Abuse(_));
     let mut sink = ShardSink::new(
         env.samplers.clone(),
-        &env.config.prefix_lengths,
+        writers,
         collect_abuse,
-        storage,
         Some((env.gauge, published)),
     );
     let mut users_seen = 0u64;
@@ -531,16 +603,14 @@ impl Frozen {
     }
 }
 
-/// The freeze phase, shared by the batch driver and the incremental
-/// engine: unions `keys` into the shared
-/// [`EntityTables`](ipv6_study_telemetry::EntityTables), then freezes
-/// every family against them on a pool of `threads` workers, largest
-/// family first. In-memory rows take the stable timestamp sort and the
-/// columnar encode ([`RequestStore::freeze_with`]); spilled runs k-way
-/// merge straight into columns ([`merge_into_frozen`]). The tables depend
-/// only on the union of the key sets, so the output is byte-identical at
-/// any thread count. The first storage error in family order is
-/// returned (see [`run_pool`]).
+/// The freeze, shared by the batch driver and the incremental engine:
+/// unions `keys` into the shared
+/// [`EntityTables`](ipv6_study_telemetry::EntityTables), then k-way
+/// merges every family's runs into columns against them
+/// ([`merge_into_frozen`]) on a pool of `threads` workers, largest family
+/// first. The tables depend only on the union of the key sets, so the
+/// output is byte-identical at any thread count. The first storage error
+/// in family order is returned (see [`run_pool`]).
 pub(crate) fn freeze(
     families: Families<FamilyPayload>,
     keys: Vec<KeyCollector>,
@@ -557,11 +627,8 @@ pub(crate) fn freeze(
     let stores = run_pool(
         families.into_vec(),
         threads,
-        FamilyPayload::rows,
-        |family| match family {
-            FamilyPayload::Rows(rows) => Ok(rows.freeze_with(Arc::clone(&tables))),
-            FamilyPayload::Runs(runs) => merge_into_frozen(&runs, &tables),
-        },
+        |runs| runs.iter().map(RunManifest::rows).sum(),
+        |runs| merge_into_frozen(&runs, &tables),
     )?;
     let families = Families::from_vec(&lengths, stores)
         .unwrap_or_else(|| unreachable!("the pool returns one store per family"));
@@ -571,73 +638,30 @@ pub(crate) fn freeze(
     })
 }
 
-/// [`freeze`] for row families whose keys no shard collected (the
-/// incremental engine's re-freeze): each family's keys are collected on
-/// the same pool first, and that pass counts toward the intern wall.
-pub(crate) fn freeze_rows(
-    families: Families<RequestStore>,
-    threads: usize,
-) -> Result<Frozen, SpillError> {
-    let t0 = Instant::now();
-    let keys = run_pool(
-        families.iter().collect(),
-        threads,
-        |rows| rows.len() as u64,
-        |rows| Ok(KeyCollector::from_records(rows.iter_unordered())),
-    )?;
-    let collect_wall = t0.elapsed();
-    let mut frozen = freeze(families.map(FamilyPayload::Rows), keys, threads)?;
-    frozen.intern_wall += collect_wall;
-    Ok(frozen)
-}
-
-/// Runs the sharded simulation and merges shard outputs in plan order.
+/// The sim and merge phases over a contiguous day range: simulates every
+/// shard into `session`'s runs, then concatenates the shard manifests
+/// per family in plan order — the input of the one freeze
+/// ([`Simulated::freeze`]).
 ///
-/// `spill` is the run's spill session when `config.storage` is `Spill`
-/// (the caller owns it so the directory outlives the frozen columns it
-/// feeds); `None` keeps every shard's output in memory exactly as before.
-/// Both modes produce byte-identical frozen datasets: the spill path's
-/// per-run stable sort plus `(ts, run-index)` k-way merge reproduces the
-/// in-memory path's stable sort of the plan-order concatenation.
+/// A batch run passes `config.sim_range()`; the incremental engine passes
+/// only the days its carried runs do not cover. The shard plan, samplers,
+/// and campaign placement are config-derived, so for any day the
+/// restricted run emits exactly the rows the full run would. The caller
+/// owns `session` so its runs outlive this call until the freeze.
 ///
 /// Returns `Err(StudyError::ShardsFailed)` when shard failures exceed
-/// what `config.failure_policy` tolerates and `Err(StudyError::Spill)`
-/// when the storage layer fails during the merge itself; otherwise the
-/// output's `faults` field records any recovered (or, under `Degrade`,
-/// dropped) shards.
-pub(crate) fn execute(
+/// what `config.failure_policy` tolerates; otherwise the result's
+/// `faults` field records any recovered (or, under `Degrade`, dropped)
+/// shards.
+pub(crate) fn simulate(
     config: &StudyConfig,
     world: &World,
     pop: &Population<'_>,
     abuse: &AbuseSim<'_>,
     samplers: &Samplers,
-    spill: Option<&SpillSession>,
-) -> Result<DriverOutput, StudyError> {
-    execute_days(
-        config,
-        world,
-        pop,
-        abuse,
-        samplers,
-        spill,
-        config.sim_range(),
-    )
-}
-
-/// [`execute`] restricted to a contiguous day range — the incremental
-/// engine's entry point: it simulates only the days a checkpoint does
-/// not already cover. The shard plan, samplers, and campaign placement
-/// are unchanged (config-derived), so for any day the restricted run
-/// emits exactly the rows the full run would.
-pub(crate) fn execute_days(
-    config: &StudyConfig,
-    world: &World,
-    pop: &Population<'_>,
-    abuse: &AbuseSim<'_>,
-    samplers: &Samplers,
-    spill: Option<&SpillSession>,
+    session: &SpillSession,
     days: DateRange,
-) -> Result<DriverOutput, StudyError> {
+) -> Result<Simulated, StudyError> {
     // Figure 11's full-population day pairs: the last four *effective*
     // days. Routing is anchored on the run's final end — not on the
     // restricted `days` — so a suffix run routes each day exactly like
@@ -666,7 +690,7 @@ pub(crate) fn execute_days(
         samplers,
         days,
         pair_start,
-        spill,
+        session,
         segment_rows,
         gauge: &gauge,
     };
@@ -731,9 +755,7 @@ pub(crate) fn execute_days(
                 // give back its gauge slice and delete any segment files
                 // the attempt spilled so a retry starts from nothing.
                 gauge.release(&published);
-                if let Some(session) = spill {
-                    session.remove_attempt(i, attempt);
-                }
+                session.remove_attempt(i, attempt);
                 // Corrupt and Budget failures never retry: re-running the
                 // same pure work cannot repair bit rot or shrink the
                 // budget, so burning the retry budget would only delay the
@@ -777,10 +799,8 @@ pub(crate) fn execute_days(
         .unwrap_or_else(PoisonError::into_inner)
         .into_values()
         .collect();
-    let spill_counters =
-        |spill: Option<&SpillSession>| spill.map(SpillSession::stats).unwrap_or_default();
-    let sim_stats = spill_counters(spill);
-    let mut faults = FaultReport {
+    let sim_stats = session.stats();
+    let faults = FaultReport {
         policy,
         failures,
         io_retries: sim_stats.io_retries,
@@ -790,11 +810,10 @@ pub(crate) fn execute_days(
         return Err(StudyError::ShardsFailed(faults));
     }
 
-    // Merge phase: walk the slots in plan order. In memory mode this
-    // concatenates shard rows into one mutable store per family; in spill
-    // mode no record moves — the per-shard run manifests are concatenated
-    // per family, which is all "merge" means out of core. Each shard's
-    // intern keys ride along for the freeze's union.
+    // Merge phase: walk the slots in plan order. No record moves — the
+    // per-shard run manifests are concatenated per family, which is all
+    // "merge" means for runs. Each shard's intern keys ride along for the
+    // freeze's union.
     let t1 = Instant::now();
     let mut shards = Vec::with_capacity(plan.len());
     let mut users_seen = 0u64;
@@ -825,27 +844,12 @@ pub(crate) fn execute_days(
     }
     let merge_wall = t1.elapsed();
 
-    // Sort phase: freeze every family into immutable columnar stores
-    // encoded against one global intern-table set, so analysis passes can
-    // query them concurrently through `&self` and cross-store joins agree
-    // on ids. The tables come from the shard-collected key sets; the
-    // families freeze in parallel (see `freeze`).
-    let t2 = Instant::now();
-    let frozen = freeze(families, keys, config.threads)?;
-    let intern_wall = frozen.intern_wall;
-    let (datasets, abuse_store, pair_store) = frozen.into_stores(samplers.clone(), offered);
-    let sort_wall = t2.elapsed();
-
-    // The merge's read passes verify every run checksum; fold the final
-    // storage counters into the report and output.
-    let spill_stats = spill_counters(spill);
-    faults.io_retries = spill_stats.io_retries;
-    faults.checksum_failures = spill_stats.checksum_failures;
-
-    Ok(DriverOutput {
-        datasets,
-        abuse_store,
-        pair_store,
+    Ok(Simulated {
+        families,
+        keys,
+        offered,
+        users_seen,
+        users_sampled,
         metrics: RunMetrics {
             threads: workers,
             shards,
@@ -855,15 +859,10 @@ pub(crate) fn execute_days(
                 .map_or(Duration::ZERO, |p| p.wall),
             sim_wall,
             merge_wall,
-            sort_wall,
-            intern_wall,
-            total_wall: Duration::ZERO,
             peak_store_bytes,
+            ..RunMetrics::default()
         },
         faults,
-        spill_stats,
-        users_seen,
-        users_sampled,
     })
 }
 
@@ -962,32 +961,26 @@ mod tests {
                 w.push(rec(i)).unwrap();
             }
             w.finish().unwrap();
-            FamilyPayload::Runs(vec![w.into_manifest()])
+            vec![w.into_manifest()]
         });
         for name in ["ip", "pair"] {
-            let path = session.dir().join(format!("s00000-a00-{name}.seg"));
+            let path = session
+                .dir()
+                .unwrap()
+                .join(format!("s00000-a00-{name}.seg"));
             let mut bytes = std::fs::read(&path).unwrap();
             bytes[30] ^= 0xA5; // a payload byte of run 0
             std::fs::write(&path, bytes).unwrap();
         }
-        let keys = || vec![KeyCollector::from_records(records.iter())];
-        let rerun = |threads| {
-            let fams = Families::from_vec(
-                &families.prefix_lengths(),
-                families
-                    .iter()
-                    .map(|f| match f {
-                        FamilyPayload::Runs(m) => FamilyPayload::Runs(m.clone()),
-                        FamilyPayload::Rows(_) => unreachable!(),
-                    })
-                    .collect(),
-            )
-            .unwrap();
-            match freeze(fams, keys(), threads) {
-                Err(e @ SpillError::Corrupt { .. }) => e,
-                Err(e) => panic!("threads={threads}: expected Corrupt, got {e:?}"),
-                Ok(_) => panic!("threads={threads}: corruption went unnoticed"),
-            }
+        let keys = || {
+            let mut keys = KeyCollector::new();
+            records.iter().for_each(|r| keys.add(r));
+            vec![keys]
+        };
+        let rerun = |threads| match freeze(families.clone(), keys(), threads) {
+            Err(e @ SpillError::Corrupt { .. }) => e,
+            Err(e) => panic!("threads={threads}: expected Corrupt, got {e:?}"),
+            Ok(_) => panic!("threads={threads}: corruption went unnoticed"),
         };
         let first = rerun(1);
         let SpillError::Corrupt { path, .. } = &first else {

@@ -30,6 +30,17 @@
 //! range, at any thread count and either storage mode (pinned by
 //! `tests/incremental.rs`).
 //!
+//! # One freeze per extension
+//!
+//! Every retained row is a sorted run (see
+//! [`ipv6_study_telemetry::spill`]), here too. An extension builds one
+//! set of families out of the runs it carries — the checkpoint's day
+//! files loaded as in-memory runs, or a frozen study thawed into one
+//! in-memory run per family — each with the keys of its rows, appends
+//! the suffix shards' runs, and calls the driver's freeze once. Of the
+//! pair store, only days inside the *new* pair window are carried, so
+//! keys of rows that slid out are never interned.
+//!
 //! # Checkpoints (`--state-dir`)
 //!
 //! A state directory persists the engine's frozen day deltas so a later
@@ -39,42 +50,47 @@
 //! state-dir/
 //!   manifest.json        config identity, covered extension, counters,
 //!                        cached-pass list (written last = commit point)
-//!   days/day<idx>/<family>.seg   one checkpoint segment per family per
-//!                        day, rows in canonical frozen order (request,
-//!                        user, ip, prefix<len>…, abuse; pair only for
-//!                        days inside the sliding pair window)
+//!   days/day<idx>/<family>.seg   one run frame per family per day, rows
+//!                        in canonical frozen order (request, user, ip,
+//!                        prefix<len>…, abuse; pair only for days inside
+//!                        the sliding pair window)
 //!   passes/<id>.md|.sum  rendered markdown section + console summary
 //!                        of each default-registry pass
 //! ```
 //!
-//! Day deltas are immutable, so a save skips segments that already
-//! exist; pair segments are pruned as the window slides. On resume, only
-//! the passes whose read windows cover the new days (per
+//! Saves are crash-safe: every file is written to a temporary name and
+//! renamed into place, the manifest last. Day files the committed
+//! manifest covers are immutable and kept as they are; every other day
+//! file is rewritten, so a torn file a killed save left behind is never
+//! committed. A save first removes the committed manifest (it rewrites
+//! the pass sections that manifest lists), and pair files that slid out
+//! of the window are pruned only after the new manifest commits. A run
+//! that dropped shards under `FailurePolicy::Degrade` writes nothing. On
+//! resume, only the passes whose read windows cover the new days (per
 //! [`windows::invalidated_by_extension`], the single source of truth)
 //! are re-run — everything else is spliced from the cached sections,
 //! byte-identical because the calendar-anchored windows see the same
 //! records in the same order.
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use ipv6_study_analysis::windows;
-use ipv6_study_behavior::abuse::AbuseSim;
-use ipv6_study_behavior::population::Population;
 use ipv6_study_netmodel::World;
 use ipv6_study_obs::{IncrementalStat, Json};
+use ipv6_study_telemetry::spill::write_atomic;
 use ipv6_study_telemetry::{
-    read_checkpoint_segment, write_checkpoint_segment, ColumnSlice, DateRange, Families,
-    FrozenDatasets, FrozenStore, RequestStore, SpillStats,
+    load_checkpoint_segment, write_checkpoint_segment, AbuseLabels, ColumnSlice, DateRange,
+    Families, FamilyPayload, FrozenStore, KeyCollector, RunManifest, SimDate,
 };
 
 use crate::config::{ConfigError, StudyConfig};
-use crate::driver::{self, DriverOutput, RunMetrics};
+use crate::driver::{self, RunMetrics, Simulated};
 use crate::experiments::{self, ExperimentOutput};
 use crate::faults::{FaultReport, StudyError};
 use crate::report;
-use crate::study::{build_report, open_spill, DayCountsCache, Study};
+use crate::study::{actors, build_world, open_session, Study};
 
 /// A completed incremental run: the (possibly extended) study, the reuse
 /// accounting, and the rendered documents with cached sections spliced
@@ -110,6 +126,16 @@ struct Checkpoint {
     passes: Vec<String>,
 }
 
+impl Checkpoint {
+    /// The days the committed day files cover, under `config`'s base
+    /// windows.
+    fn range(&self, config: &StudyConfig) -> DateRange {
+        let mut covered = config.clone();
+        covered.extend_days = self.covered_extend_days;
+        covered.sim_range()
+    }
+}
+
 /// Wraps a filesystem problem in the state dir as a config/storage
 /// error (the checkpoint is configuration-supplied storage).
 fn storage_err(what: &str, path: &Path, e: &std::io::Error) -> StudyError {
@@ -133,50 +159,53 @@ fn pass_file_stem(id: &str) -> String {
         .collect()
 }
 
-/// Every family of a frozen study as one column slice each, in freeze
-/// order; `pair` is the caller's choice of pair-window rows.
-fn family_rows<'a>(
-    datasets: &'a FrozenDatasets,
-    abuse: &'a FrozenStore,
-    pair: ColumnSlice<'a>,
-) -> Families<ColumnSlice<'a>> {
-    let mut lengths: Vec<u8> = datasets.prefix_samples.keys().copied().collect();
+/// Every frozen store of a study, in freeze order.
+fn stores(study: &Study) -> Families<&FrozenStore> {
+    let d = &study.datasets;
+    let mut lengths: Vec<u8> = d.prefix_samples.keys().copied().collect();
     lengths.sort_unstable();
     Families {
-        request: datasets.request_sample.all(),
-        user: datasets.user_sample.all(),
-        ip: datasets.ip_sample.all(),
+        request: &d.request_sample,
+        user: &d.user_sample,
+        ip: &d.ip_sample,
         prefixes: lengths
             .into_iter()
-            .map(|len| (len, datasets.prefix_sample(len).all()))
+            .map(|len| (len, d.prefix_sample(len)))
             .collect(),
-        abuse: abuse.all(),
-        pair,
+        abuse: &study.abuse_store,
+        pair: &study.pair_store,
     }
 }
 
-/// Copies a frozen column slice into a mutable row store, preserving
-/// order.
-fn append_slice(store: &mut RequestStore, rows: ColumnSlice<'_>) {
-    for rec in rows.records() {
-        store.push(rec);
+/// The checkpoint file stem of every family, in freeze order.
+fn file_stems(config: &StudyConfig) -> Families<String> {
+    let mut stems = Families::with(&config.prefix_lengths, str::to_string);
+    for (len, stem) in &mut stems.prefixes {
+        *stem = format!("prefix{len}");
     }
+    stems
 }
 
-/// Extends `study` by `n` simulated days: runs the driver over only the
-/// suffix days, then re-freezes old + suffix rows against the union
-/// intern tables. See the module docs for why the result is
-/// byte-identical to a from-scratch run of the longer range.
+/// The directory holding one day's files.
+fn day_dir(dir: &Path, day: SimDate) -> PathBuf {
+    dir.join("days").join(format!("day{:03}", day.index()))
+}
+
+/// Extends `study` by `n` simulated days: thaws every frozen family into
+/// one in-memory run, simulates only the suffix days, and freezes once.
+/// See the module docs for why the result is byte-identical to a
+/// from-scratch run of the longer range.
 pub(crate) fn extend(study: Study, n: u16) -> Result<(Study, IncrementalStat), StudyError> {
     let t0 = Instant::now();
     let old_days = u64::from(study.config.sim_range().num_days());
+    let stats = |extend_wall| IncrementalStat {
+        days_reused: old_days,
+        days_computed: u64::from(n),
+        extend_wall,
+    };
     if n == 0 {
         let mut study = study;
-        let stats = IncrementalStat {
-            days_reused: old_days,
-            days_computed: 0,
-            extend_wall: t0.elapsed(),
-        };
+        let stats = stats(t0.elapsed());
         study.report.incremental = stats;
         return Ok((study, stats));
     }
@@ -184,136 +213,144 @@ pub(crate) fn extend(study: Study, n: u16) -> Result<(Study, IncrementalStat), S
     config.extend_days = config.extend_days.saturating_add(n);
     config.validate()?;
     let old_end = study.config.sim_end();
-    let suffix = DateRange::new(old_end + 1, config.sim_end());
-
-    // Deterministic rebuild of the simulation inputs against the study's
-    // (already ablated) world — identical to what the original run used,
-    // because all of them derive from base-config fields.
-    let pop = Population::new(&study.world, config.seed ^ 0x504F_5055, config.households);
-    let samplers = config.sampling.resolve(pop.approx_users());
-    let abuse_window = DateRange::new(config.full_range.start, config.full_range.end);
-    let abuse = AbuseSim::new(
-        &study.world,
-        config.seed ^ 0x4142_5553,
-        config.campaigns,
-        config.households,
-        abuse_window,
-    )
-    .with_detect_scale(config.ablation.detect_scale());
-
-    let spill = open_spill(&config)?;
-    let out = driver::execute_days(
-        &config,
-        &study.world,
-        &pop,
-        &abuse,
-        &samplers,
-        spill.as_ref(),
-        suffix,
-    )?;
-    drop(spill);
-
-    // Union merge: old canonical rows, then suffix canonical rows. Days
-    // are timestamp-disjoint and every suffix day is later, so the
-    // concatenation is already in canonical order and the stable
-    // re-sort inside freeze is a verification pass, not a reorder.
-    let t_merge = Instant::now();
-    // The pair store slides: keep only the old window's days that remain
-    // inside the new last-four-days window (the suffix run routed its
-    // rows against the *new* window already).
     let pair_win = windows::pair_window(config.sim_end());
-    let old_pair = if pair_win.start <= old_end {
+
+    // Thaw: each family becomes one in-memory run in canonical order, with
+    // the keys of its rows; of the pair store, only the old days still
+    // inside the new window.
+    let t_thaw = Instant::now();
+    let mut rows = stores(&study).map(FrozenStore::all);
+    rows.pair = if pair_win.start <= old_end {
         study
             .pair_store
             .in_range(DateRange::new(pair_win.start, old_end))
     } else {
         ColumnSlice::empty(study.pair_store.tables())
     };
-    let old = family_rows(&study.datasets, &study.abuse_store, old_pair);
-    let new = family_rows(&out.datasets, &out.abuse_store, out.pair_store.all());
-    let families = old.zip(new).map(|(old, new)| {
-        let mut store = RequestStore::new();
-        append_slice(&mut store, old);
-        append_slice(&mut store, new);
-        store
+    let mut keys = KeyCollector::new();
+    let names = Families::with(&config.prefix_lengths, str::to_string);
+    let families = rows.zip(names).map(|(rows, name)| {
+        vec![RunManifest::from_rows(
+            name,
+            rows.records().inspect(|r| keys.add(r)),
+        )]
     });
-    let offered = study.datasets.offered + out.datasets.offered;
-    let merge_wall = t_merge.elapsed();
-
-    // Re-freeze against the union tables. The distinct-key sets equal
-    // the longer run's, so these tables — and therefore every dense id —
-    // are bit-identical to a from-scratch build.
-    let t_sort = Instant::now();
-    let frozen = driver::freeze_rows(families, config.threads)?;
-    let intern_wall = frozen.intern_wall;
-    let (datasets, abuse_store, pair_store) = frozen.into_stores(samplers, offered);
-    let sort_wall = t_sort.elapsed();
-
-    // Carry the per-day trie cache for days still inside the sliding
-    // pair window; DayCounts reads raw keys only, so re-encoding does
-    // not invalidate them.
-    let carried = study.take_day_counts(pair_win);
-
-    let mut metrics = out.metrics;
-    metrics.merge_wall += merge_wall;
-    metrics.sort_wall += sort_wall;
-    metrics.intern_wall += intern_wall;
-    metrics.total_wall = t0.elapsed();
-    let union_out = DriverOutput {
-        datasets,
-        abuse_store,
-        pair_store,
-        metrics,
-        faults: out.faults,
-        spill_stats: out.spill_stats,
-        users_seen: study.users_seen + out.users_seen,
-        users_sampled: study.users_sampled + out.users_sampled,
+    let carried = Simulated {
+        families,
+        keys: vec![keys],
+        offered: study.datasets.offered,
+        users_seen: study.users_seen,
+        users_sampled: study.users_sampled,
+        metrics: RunMetrics {
+            merge_wall: t_thaw.elapsed(),
+            ..RunMetrics::default()
+        },
+        faults: FaultReport::default(),
     };
-    let mut report = build_report(&config, study.approx_users, &union_out);
-    let stats = IncrementalStat {
-        days_reused: old_days,
-        days_computed: u64::from(n),
-        extend_wall: t0.elapsed(),
-    };
-    report.incremental = stats;
+    // Per-day tries of days still inside the sliding pair window stay
+    // valid: DayCounts reads raw keys only, so re-encoding does not
+    // invalidate them.
+    let tries = study.take_day_counts(pair_win);
+    let (world, labels, approx_users) = reused_parts(study);
 
-    let DriverOutput {
-        datasets,
-        abuse_store,
-        pair_store,
-        metrics,
-        faults,
-        spill_stats: _,
-        users_seen,
-        users_sampled,
-    } = union_out;
-    let extended = Study {
-        config,
-        world: study.world,
-        datasets,
-        abuse_store,
-        pair_store,
-        labels: study.labels,
-        approx_users: study.approx_users,
-        users_seen,
-        users_sampled,
-        metrics,
-        faults,
-        report,
-        day_counts: DayCountsCache::default(),
-    };
-    extended.seed_day_counts(carried);
+    let mut extended = extend_runs(config, world, labels, approx_users, carried, old_end, t0)?;
+    let stats = stats(t0.elapsed());
+    extended.report.incremental = stats;
+    extended.seed_day_counts(tries);
     Ok((extended, stats))
 }
 
-/// The family names checkpointed per day, in a fixed order.
-fn family_names(config: &StudyConfig) -> Vec<String> {
-    let mut names = vec!["request".to_string(), "user".to_string(), "ip".to_string()];
-    for &len in &config.prefix_lengths {
-        names.push(format!("prefix{len}"));
+/// The parts of a study an extension reuses. Everything else — the old
+/// frozen stores, now thawed into runs — drops here, before the suffix
+/// sim and the freeze.
+fn reused_parts(study: Study) -> (World, AbuseLabels, u64) {
+    (study.world, study.labels, study.approx_users)
+}
+
+/// Simulates the days of `config` after `covered_end`, appends their runs
+/// after the `carried` ones, freezes everything once, and assembles the
+/// extended study — the path a state-dir resume and an in-memory
+/// extension share.
+fn extend_runs(
+    config: StudyConfig,
+    world: World,
+    labels: AbuseLabels,
+    approx_users: u64,
+    mut carried: Simulated,
+    covered_end: SimDate,
+    t0: Instant,
+) -> Result<Study, StudyError> {
+    let mut out = {
+        let (pop, abuse) = actors(&config, &world);
+        let samplers = config.sampling.resolve(approx_users);
+        let session = open_session(&config)?;
+        if covered_end < config.sim_end() {
+            let suffix = DateRange::new(covered_end + 1, config.sim_end());
+            let sim = driver::simulate(&config, &world, &pop, &abuse, &samplers, &session, suffix)?;
+            carried.append(sim);
+        }
+        carried.freeze(samplers, &session, config.threads)?
+    };
+    out.metrics.total_wall = t0.elapsed();
+    Ok(Study::assemble(config, world, labels, approx_users, out))
+}
+
+/// Resumes from a committed checkpoint: loads its day files as in-memory
+/// runs — each verified while its keys are collected; pair files only for
+/// days inside the new pair window — then extends them to `config`'s
+/// range with one freeze. No committed day is simulated again.
+fn resume(
+    config: StudyConfig,
+    cp: &Checkpoint,
+    dir: &Path,
+    t0: Instant,
+) -> Result<Study, StudyError> {
+    let world = build_world(&config);
+    let (pop, abuse) = actors(&config, &world);
+    let (approx_users, labels) = (pop.approx_users(), abuse.labels());
+    let covered = cp.range(&config);
+    let pair_win = windows::pair_window(config.sim_end());
+
+    let t_load = Instant::now();
+    let stems = file_stems(&config);
+    let mut families: Families<FamilyPayload> = Families::new(&config.prefix_lengths);
+    let mut keys = Vec::new();
+    for day in covered.days() {
+        let day_dir = day_dir(dir, day);
+        for (stem, runs) in stems.iter().zip(families.iter_mut()) {
+            if stem == "pair" && !pair_win.contains(day) {
+                continue;
+            }
+            let (run, day_keys) = load_checkpoint_segment(&day_dir.join(format!("{stem}.seg")))?;
+            runs.push(run);
+            keys.push(day_keys);
+        }
     }
-    names.push("abuse".to_string());
-    names
+    let carried = Simulated {
+        families,
+        keys,
+        offered: cp.offered,
+        users_seen: cp.users_seen,
+        users_sampled: cp.users_sampled,
+        metrics: RunMetrics {
+            threads: config.threads,
+            merge_wall: t_load.elapsed(),
+            ..RunMetrics::default()
+        },
+        faults: FaultReport {
+            policy: config.failure_policy,
+            ..FaultReport::default()
+        },
+    };
+    extend_runs(
+        config,
+        world,
+        labels,
+        approx_users,
+        carried,
+        covered.end,
+        t0,
+    )
 }
 
 /// The config-identity echo both written to and checked against the
@@ -356,69 +393,75 @@ fn identity_json(config: &StudyConfig) -> Json {
         .with("ablation", Json::str(format!("{:?}", config.ablation)))
 }
 
-/// Writes (or refreshes) the checkpoint for `study` in `dir`. Day
-/// deltas are immutable, so existing segments are kept as-is; pair
-/// segments outside the sliding window are pruned; the manifest is
-/// written last as the commit point.
-fn save_checkpoint(study: &Study, sections: &[PassSection], dir: &Path) -> Result<(), StudyError> {
-    let days_dir = dir.join("days");
-    fs::create_dir_all(&days_dir).map_err(|e| storage_err("creating", &days_dir, &e))?;
-    let pair_win = windows::pair_window(study.config.sim_end());
-    let families = family_names(&study.config);
-    for day in study.config.sim_range().days() {
-        let day_dir = days_dir.join(format!("day{:03}", day.index()));
+/// Writes (or refreshes) the checkpoint for `study` in `dir`, crash-safely
+/// (see the module docs). `committed` is the checkpoint the directory
+/// held before this run, if any: its day files are immutable and kept.
+/// A study that dropped shards writes nothing — its rows are partial, and
+/// a later clean run must not resume from them.
+fn save_checkpoint(
+    study: &Study,
+    sections: &[PassSection],
+    dir: &Path,
+    committed: Option<&Checkpoint>,
+) -> Result<(), StudyError> {
+    if study.faults.dropped_count() > 0 {
+        return Ok(());
+    }
+    let config = &study.config;
+    let write = |path: &Path, bytes: &[u8]| {
+        write_atomic(path, bytes).map_err(|e| storage_err("writing", path, &e))
+    };
+    let remove = |path: &Path| match fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+            Err(storage_err("removing", path, &e))
+        }
+        _ => Ok(()),
+    };
+    // Uncommit: the pass sections below replace the ones the committed
+    // manifest lists, so a save killed from here on must leave no
+    // manifest behind (the next run then starts cold).
+    let manifest_path = dir.join("manifest.json");
+    remove(&manifest_path)?;
+
+    let kept = committed.map(|cp| {
+        let range = cp.range(config);
+        (range, windows::pair_window(range.end))
+    });
+    let pair_win = windows::pair_window(config.sim_end());
+    let stems = file_stems(config);
+    let stores = stores(study);
+    for day in config.sim_range().days() {
+        let day_dir = day_dir(dir, day);
         fs::create_dir_all(&day_dir).map_err(|e| storage_err("creating", &day_dir, &e))?;
-        for name in &families {
-            let path = day_dir.join(format!("{name}.seg"));
-            if path.exists() {
+        for (stem, store) in stems.iter().zip(stores.iter()) {
+            let pair = stem == "pair";
+            let is_kept = kept
+                .is_some_and(|(range, win)| range.contains(day) && (!pair || win.contains(day)));
+            if is_kept || (pair && !pair_win.contains(day)) {
                 continue;
             }
-            let rows = match name.as_str() {
-                "request" => study.datasets().request_sample.on_day(day),
-                "user" => study.datasets().user_sample.on_day(day),
-                "ip" => study.datasets().ip_sample.on_day(day),
-                "abuse" => study.abuse_store().on_day(day),
-                prefix => {
-                    let len: u8 = prefix
-                        .strip_prefix("prefix")
-                        .and_then(|l| l.parse().ok())
-                        .expect("family_names emits only known families");
-                    study.datasets().prefix_sample(len).on_day(day)
-                }
-            };
-            let recs: Vec<_> = rows.records().collect();
-            write_checkpoint_segment(&path, &recs).map_err(StudyError::Spill)?;
-        }
-        let pair_path = day_dir.join("pair.seg");
-        if pair_win.contains(day) {
-            if !pair_path.exists() {
-                let recs: Vec<_> = study.pair_store().on_day(day).records().collect();
-                write_checkpoint_segment(&pair_path, &recs).map_err(StudyError::Spill)?;
-            }
-        } else if pair_path.exists() {
-            fs::remove_file(&pair_path).map_err(|e| storage_err("pruning", &pair_path, &e))?;
+            let path = day_dir.join(format!("{stem}.seg"));
+            write_checkpoint_segment(&path, store.on_day(day).records())?;
         }
     }
     let pass_dir = dir.join("passes");
     fs::create_dir_all(&pass_dir).map_err(|e| storage_err("creating", &pass_dir, &e))?;
     for s in sections {
         let stem = pass_file_stem(&s.id);
-        let md = pass_dir.join(format!("{stem}.md"));
-        fs::write(&md, &s.markdown).map_err(|e| storage_err("writing", &md, &e))?;
-        let sum = pass_dir.join(format!("{stem}.sum"));
-        fs::write(&sum, &s.summary).map_err(|e| storage_err("writing", &sum, &e))?;
+        write(&pass_dir.join(format!("{stem}.md")), s.markdown.as_bytes())?;
+        write(&pass_dir.join(format!("{stem}.sum")), s.summary.as_bytes())?;
     }
     let manifest = Json::obj()
         .with("checkpoint_schema", Json::UInt(1))
-        .with("identity", identity_json(&study.config))
+        .with("identity", identity_json(config))
         .with(
             "covered_extend_days",
-            Json::UInt(u64::from(study.config.extend_days)),
+            Json::UInt(u64::from(config.extend_days)),
         )
         .with(
             "counters",
             Json::obj()
-                .with("offered", Json::UInt(study.datasets().offered))
+                .with("offered", Json::UInt(study.datasets.offered))
                 .with("users_seen", Json::UInt(study.users_seen))
                 .with("users_sampled", Json::UInt(study.users_sampled)),
         )
@@ -426,8 +469,15 @@ fn save_checkpoint(study: &Study, sections: &[PassSection], dir: &Path) -> Resul
             "passes",
             Json::Arr(sections.iter().map(|s| Json::str(&*s.id)).collect()),
         );
-    let path = dir.join("manifest.json");
-    fs::write(&path, manifest.render_pretty()).map_err(|e| storage_err("writing", &path, &e))?;
+    write(&manifest_path, manifest.render_pretty().as_bytes())?;
+
+    // Prune pair files that slid out of the window only now, after the
+    // commit, so the committed window's files always exist.
+    for day in config.sim_range().days() {
+        if !pair_win.contains(day) {
+            remove(&day_dir(dir, day).join("pair.seg"))?;
+        }
+    }
     Ok(())
 }
 
@@ -485,122 +535,6 @@ fn load_manifest(dir: &Path, config: &StudyConfig) -> Result<Option<Checkpoint>,
     }))
 }
 
-/// Reconstructs a frozen [`Study`] from persisted day deltas — no
-/// simulation. The per-day segments hold rows in canonical frozen
-/// order, days are timestamp-disjoint, and the intern tables are a pure
-/// function of the key sets, so the rebuilt stores are bit-identical to
-/// the ones the original run froze.
-fn rebuild_study(config: StudyConfig, cp: &Checkpoint, dir: &Path) -> Result<Study, StudyError> {
-    config.validate()?;
-    let mut world = World::sized(config.seed, config.households);
-    config.ablation.apply_to_world(&mut world);
-    let pop = Population::new(&world, config.seed ^ 0x504F_5055, config.households);
-    let approx_users = pop.approx_users();
-    let samplers = config.sampling.resolve(approx_users);
-    let abuse_window = DateRange::new(config.full_range.start, config.full_range.end);
-    let labels = AbuseSim::new(
-        &world,
-        config.seed ^ 0x4142_5553,
-        config.campaigns,
-        config.households,
-        abuse_window,
-    )
-    .with_detect_scale(config.ablation.detect_scale())
-    .labels();
-
-    let mut families: Families<RequestStore> = Families::new(&config.prefix_lengths);
-    for day in config.sim_range().days() {
-        let day_dir = dir.join("days").join(format!("day{:03}", day.index()));
-        for name in family_names(&config) {
-            let path = day_dir.join(format!("{name}.seg"));
-            let rows = read_checkpoint_segment(&path).map_err(StudyError::Spill)?;
-            let store = match name.as_str() {
-                "request" => &mut families.request,
-                "user" => &mut families.user,
-                "ip" => &mut families.ip,
-                "abuse" => &mut families.abuse,
-                prefix => {
-                    let len: u8 = prefix
-                        .strip_prefix("prefix")
-                        .and_then(|l| l.parse().ok())
-                        .expect("family_names emits only known families");
-                    &mut families
-                        .prefixes
-                        .iter_mut()
-                        .find(|(l, _)| *l == len)
-                        .expect("Families::new creates every configured length")
-                        .1
-                }
-            };
-            for rec in rows {
-                store.push(rec);
-            }
-        }
-        let pair_path = day_dir.join("pair.seg");
-        if pair_path.exists() {
-            for rec in read_checkpoint_segment(&pair_path).map_err(StudyError::Spill)? {
-                families.pair.push(rec);
-            }
-        }
-    }
-    let (datasets, abuse_store, pair_store) =
-        driver::freeze_rows(families, config.threads)?.into_stores(samplers, cp.offered);
-
-    let metrics = RunMetrics {
-        threads: config.threads,
-        shards: Vec::new(),
-        plan_wall: Default::default(),
-        sim_wall: Default::default(),
-        merge_wall: Default::default(),
-        sort_wall: Default::default(),
-        intern_wall: Default::default(),
-        total_wall: Default::default(),
-        peak_store_bytes: 0,
-    };
-    let faults = FaultReport {
-        policy: config.failure_policy,
-        failures: Vec::new(),
-        io_retries: 0,
-        checksum_failures: 0,
-    };
-    let out = DriverOutput {
-        datasets,
-        abuse_store,
-        pair_store,
-        metrics,
-        faults,
-        spill_stats: SpillStats::default(),
-        users_seen: cp.users_seen,
-        users_sampled: cp.users_sampled,
-    };
-    let report = build_report(&config, approx_users, &out);
-    let DriverOutput {
-        datasets,
-        abuse_store,
-        pair_store,
-        metrics,
-        faults,
-        spill_stats: _,
-        users_seen,
-        users_sampled,
-    } = out;
-    Ok(Study {
-        config,
-        world,
-        datasets,
-        abuse_store,
-        pair_store,
-        labels,
-        approx_users,
-        users_seen,
-        users_sampled,
-        metrics,
-        faults,
-        report,
-        day_counts: DayCountsCache::default(),
-    })
-}
-
 /// Runs the requested config against a state directory: a cold dir gets
 /// a full batch run (then a checkpoint); a warm dir is extended — only
 /// the not-yet-covered suffix days are simulated and only the passes
@@ -617,7 +551,7 @@ pub fn run(config: StudyConfig, state_dir: &Path) -> Result<IncrementalRun, Stud
         let sections = render_sections(&results);
         let markdown = report::render_markdown(&results);
         let summary = report::render_summary(&results);
-        save_checkpoint(&study, &sections, state_dir)?;
+        save_checkpoint(&study, &sections, state_dir, None)?;
         let stats = study.report.incremental;
         return Ok(IncrementalRun {
             study,
@@ -635,12 +569,14 @@ pub fn run(config: StudyConfig, state_dir: &Path) -> Result<IncrementalRun, Stud
         )));
     }
     let n = config.extend_days - cp.covered_extend_days;
-    let mut covered_config = config;
-    covered_config.extend_days = cp.covered_extend_days;
-    let base = rebuild_study(covered_config, &cp, state_dir)?;
-    let old_range = base.config.sim_range();
-    let (mut study, mut stats) = extend(base, n)?;
+    let old_range = cp.range(&config);
+    let mut study = resume(config, &cp, state_dir, t0)?;
     let new_range = study.config.sim_range();
+    let mut stats = IncrementalStat {
+        days_reused: u64::from(old_range.num_days()),
+        days_computed: u64::from(n),
+        extend_wall: t0.elapsed(),
+    };
 
     // Re-run exactly the passes the extension invalidates (plus any the
     // checkpoint never cached); splice the rest from the cached
@@ -686,7 +622,7 @@ pub fn run(config: StudyConfig, state_dir: &Path) -> Result<IncrementalRun, Stud
 
     stats.extend_wall = t0.elapsed();
     study.report.incremental = stats;
-    save_checkpoint(&study, &sections, state_dir)?;
+    save_checkpoint(&study, &sections, state_dir, Some(&cp))?;
     Ok(IncrementalRun {
         study,
         stats,

@@ -106,38 +106,37 @@ impl Study {
     pub fn run(config: StudyConfig) -> StudyOutcome {
         config.validate()?;
         let total = Instant::now();
-        let mut world = World::sized(config.seed, config.households);
-        config.ablation.apply_to_world(&mut world);
-        let pop = Population::new(&world, config.seed ^ 0x504F_5055, config.households);
+        let world = build_world(&config);
+        let (pop, abuse) = actors(&config, &world);
         let approx_users = pop.approx_users();
         let samplers = config.sampling.resolve(approx_users);
-
-        // The spill session (when configured) lives for the whole sim +
-        // merge: the driver's k-way merge streams the segment files into
-        // frozen columns, after which the directory is deleted.
-        let spill = open_spill(&config)?;
-
-        // Attackers operate over the whole window (their creation dates
-        // are spread across it).
-        let abuse_window = DateRange::new(config.full_range.start, config.full_range.end);
-        let abuse = AbuseSim::new(
-            &world,
-            config.seed ^ 0x4142_5553,
-            config.campaigns,
-            config.households,
-            abuse_window,
-        )
-        .with_detect_scale(config.ablation.detect_scale());
         let labels = abuse.labels();
 
-        let mut out = driver::execute(&config, &world, &pop, &abuse, &samplers, spill.as_ref())?;
-        // Every record now lives in frozen columns; delete the segment
-        // files before the (potentially long) analysis phase.
-        drop(spill);
+        // The session holds every run from the sim until the freeze
+        // has merged it into columns; dropping it deletes the spill
+        // directory (if any) before the analysis phase.
+        let session = open_session(&config)?;
+        let days = config.sim_range();
+        let sim = driver::simulate(&config, &world, &pop, &abuse, &samplers, &session, days)?;
+        let mut out = sim.freeze(samplers, &session, config.threads)?;
+        drop(session);
 
         out.metrics.total_wall = total.elapsed();
+        Ok(Self::assemble(config, world, labels, approx_users, out))
+    }
+
+    /// Assembles a study from the driver's frozen output and builds its
+    /// run report — the one assembly a batch run, a state-dir resume and
+    /// an in-memory extension share.
+    pub(crate) fn assemble(
+        config: StudyConfig,
+        world: World,
+        labels: AbuseLabels,
+        approx_users: u64,
+        out: DriverOutput,
+    ) -> Self {
         let report = build_report(&config, approx_users, &out);
-        Ok(Self {
+        Self {
             config,
             world,
             datasets: out.datasets,
@@ -151,7 +150,7 @@ impl Study {
             faults: out.faults,
             report,
             day_counts: DayCountsCache::default(),
-        })
+        }
     }
 
     /// Extends the simulated timeline by `n` days without re-simulating
@@ -309,11 +308,37 @@ impl Study {
     }
 }
 
-/// Opens the run's spill session when `config.storage` is `Spill` —
-/// shared by [`Study::run`] and the incremental extension path. The
-/// session's storage policy carries the run's disk budget and any
-/// injected I/O fault plan.
-pub(crate) fn open_spill(config: &StudyConfig) -> Result<Option<SpillSession>, StudyError> {
+/// The study's static world, with the config's ablation applied.
+pub(crate) fn build_world(config: &StudyConfig) -> World {
+    let mut world = World::sized(config.seed, config.households);
+    config.ablation.apply_to_world(&mut world);
+    world
+}
+
+/// The population and attackers a config simulates over `world`. Both
+/// derive from base-config fields only, so a batch run, a state-dir
+/// resume and an in-memory extension all see the same ones.
+pub(crate) fn actors<'w>(config: &StudyConfig, world: &'w World) -> (Population<'w>, AbuseSim<'w>) {
+    let pop = Population::new(world, config.seed ^ 0x504F_5055, config.households);
+    // Attackers operate over the whole window (their creation dates are
+    // spread across it).
+    let abuse_window = DateRange::new(config.full_range.start, config.full_range.end);
+    let abuse = AbuseSim::new(
+        world,
+        config.seed ^ 0x4142_5553,
+        config.campaigns,
+        config.households,
+        abuse_window,
+    )
+    .with_detect_scale(config.ablation.detect_scale());
+    (pop, abuse)
+}
+
+/// Opens the run store `config.storage` asks for — shared by
+/// [`Study::run`] and the incremental engine. A spill session's storage
+/// policy carries the run's disk budget and any injected I/O fault plan;
+/// memory mode keeps the runs in memory.
+pub(crate) fn open_session(config: &StudyConfig) -> Result<SpillSession, StudyError> {
     match &config.storage {
         StorageMode::Spill { dir, .. } => {
             let policy = SpillPolicy {
@@ -324,12 +349,10 @@ pub(crate) fn open_spill(config: &StudyConfig) -> Result<Option<SpillSession>, S
                     .and_then(|inj| inj.spill_fault_plan(config.seed)),
                 ..SpillPolicy::default()
             };
-            Ok(Some(
-                SpillSession::create_with(dir.as_deref(), policy)
-                    .map_err(|e| StudyError::Config(ConfigError::Storage(e.to_string())))?,
-            ))
+            SpillSession::create_with(dir.as_deref(), policy)
+                .map_err(|e| StudyError::Config(ConfigError::Storage(e.to_string())))
         }
-        StorageMode::InMemory => Ok(None),
+        StorageMode::InMemory => Ok(SpillSession::in_memory()),
     }
 }
 

@@ -1,207 +1,26 @@
-//! One-pass routing of a simulated request stream into the study datasets.
+//! The study's sampled datasets, frozen.
 //!
-//! The simulation driver produces every request the platform would see; the
-//! paper (and we) can only afford to *keep* deterministic samples. A
-//! [`StudyDatasets`] accepts the full stream through [`StudyDatasets::offer`]
-//! and retains each record in whichever datasets sample it:
+//! The simulation driver produces every request the platform would see;
+//! the paper (and we) can only afford to *keep* deterministic samples.
+//! The shard sinks ([`crate::sink::ShardSink`]) route the stream through
+//! the [`Samplers`] and the freeze assembles what they kept into a
+//! [`FrozenDatasets`]:
 //!
 //! - the **request** random sample (Fig 1's request series),
 //! - the **user** random sample (all requests of sampled users — the
 //!   workhorse dataset for §4–§5 and the outlier extrapolations),
 //! - the **IP** random sample (all requests from sampled addresses, §6.1),
-//! - the **IPv6 prefix** random samples at the study's fifteen lengths
-//!   (§6.2), each an independent per-length sample.
-//!
-//! Prefix-sample records are stored once per sampled length; lengths are
-//! configurable to bound memory when an analysis needs only a few.
+//! - the **IPv6 prefix** random samples at the study's configured
+//!   lengths (§6.2), each an independent per-length sample.
 
 use std::collections::HashMap;
 
-use ipv6_study_netaddr::{Ipv6Prefix, STUDY_PREFIX_LENGTHS};
-
-use crate::record::RequestRecord;
 use crate::sampler::Samplers;
-use crate::store::{FrozenStore, RequestStore};
+use crate::store::FrozenStore;
 
-/// The four dataset families of §3.1, filled by deterministic sampling.
-#[derive(Debug)]
-pub struct StudyDatasets {
-    /// Sampler configuration used to route records.
-    pub samplers: Samplers,
-    /// Random sample of all requests.
-    pub request_sample: RequestStore,
-    /// All requests from a random sample of users.
-    pub user_sample: RequestStore,
-    /// All requests from a random sample of addresses.
-    pub ip_sample: RequestStore,
-    /// All requests from random samples of IPv6 prefixes, per length.
-    pub prefix_samples: HashMap<u8, RequestStore>,
-    /// Total records offered (the "platform volume" before sampling).
-    pub offered: u64,
-}
-
-impl StudyDatasets {
-    /// Creates dataset stores sampling at the given rates, collecting
-    /// prefix samples for every study length.
-    pub fn new(samplers: Samplers) -> Self {
-        Self::with_prefix_lengths(samplers, &STUDY_PREFIX_LENGTHS)
-    }
-
-    /// Creates dataset stores collecting prefix samples only for the given
-    /// lengths (pass `&[]` to skip prefix sampling entirely).
-    pub fn with_prefix_lengths(samplers: Samplers, lengths: &[u8]) -> Self {
-        Self {
-            samplers,
-            request_sample: RequestStore::new(),
-            user_sample: RequestStore::new(),
-            ip_sample: RequestStore::new(),
-            prefix_samples: lengths.iter().map(|&l| (l, RequestStore::new())).collect(),
-            offered: 0,
-        }
-    }
-
-    /// Offers one platform request; it is retained in every dataset whose
-    /// sampler selects it.
-    pub fn offer(&mut self, rec: RequestRecord) {
-        self.offered += 1;
-        if self.samplers.request_sampled(&rec) {
-            self.request_sample.push(rec);
-        }
-        if self.samplers.user_sampled(rec.user) {
-            self.user_sample.push(rec);
-        }
-        if self.samplers.ip_sampled(&rec) {
-            self.ip_sample.push(rec);
-        }
-        if let Some(addr) = rec.ipv6() {
-            for (&len, store) in self.prefix_samples.iter_mut() {
-                let p = Ipv6Prefix::containing(addr, len);
-                if self.samplers.prefix_sampled(p) {
-                    store.push(rec);
-                }
-            }
-        }
-    }
-
-    /// Absorbs another dataset collection produced under the *same* sampler
-    /// configuration and prefix-length set — the merge half of the sharded
-    /// simulation driver. Each store's records are appended after `self`'s
-    /// in `other`'s internal order, so merging shard outputs in shard-index
-    /// order reproduces the serial emission order exactly (the stores'
-    /// stable timestamp sort preserves that tie order).
-    ///
-    /// # Panics
-    /// Panics when the sampler configurations differ or the prefix-length
-    /// sets differ: such datasets were sampled from different populations
-    /// and merging them would be statistically meaningless.
-    pub fn merge(&mut self, other: StudyDatasets) {
-        assert!(
-            self.samplers.same_config(&other.samplers),
-            "cannot merge datasets sampled under different configurations"
-        );
-        assert_eq!(
-            {
-                let mut k: Vec<u8> = self.prefix_samples.keys().copied().collect();
-                k.sort_unstable();
-                k
-            },
-            {
-                let mut k: Vec<u8> = other.prefix_samples.keys().copied().collect();
-                k.sort_unstable();
-                k
-            },
-            "cannot merge datasets with different prefix-length sets"
-        );
-        self.request_sample.extend_from(other.request_sample);
-        self.user_sample.extend_from(other.user_sample);
-        self.ip_sample.extend_from(other.ip_sample);
-        for (len, store) in other.prefix_samples {
-            self.prefix_samples
-                .get_mut(&len)
-                .expect("key sets verified equal above")
-                .extend_from(store);
-        }
-        self.offered += other.offered;
-    }
-
-    /// Sorts every retained store by timestamp now, instead of lazily on
-    /// first query — lets the simulation driver account the sort cost as
-    /// its own measured phase.
-    pub fn ensure_sorted(&mut self) {
-        self.request_sample.ensure_sorted();
-        self.user_sample.ensure_sorted();
-        self.ip_sample.ensure_sorted();
-        for store in self.prefix_samples.values_mut() {
-            store.ensure_sorted();
-        }
-    }
-
-    /// The prefix sample for a given length.
-    ///
-    /// # Panics
-    /// Panics when that length was not collected.
-    pub fn prefix_sample(&mut self, len: u8) -> &mut RequestStore {
-        self.prefix_samples
-            .get_mut(&len)
-            .unwrap_or_else(|| panic!("prefix length /{len} was not collected"))
-    }
-
-    /// Total records retained across all datasets (diagnostic).
-    pub fn retained(&self) -> u64 {
-        let base = self.request_sample.len() + self.user_sample.len() + self.ip_sample.len();
-        let prefixes: usize = self.prefix_samples.values().map(|s| s.len()).sum();
-        (base + prefixes) as u64
-    }
-
-    /// Iterates every retained record across all stores in arbitrary
-    /// order — the input for building shared intern tables before freezing.
-    pub fn iter_unordered(&self) -> impl Iterator<Item = &RequestRecord> + Clone {
-        self.request_sample
-            .iter_unordered()
-            .chain(self.user_sample.iter_unordered())
-            .chain(self.ip_sample.iter_unordered())
-            .chain(
-                self.prefix_samples
-                    .values()
-                    .flat_map(|s| s.iter_unordered()),
-            )
-    }
-
-    /// Consumes the datasets into an immutable columnar [`FrozenDatasets`]
-    /// whose stores serve `&self` range queries (see [`FrozenStore`]),
-    /// encoded against intern tables built over these datasets alone. The
-    /// driver uses [`StudyDatasets::freeze_with`] so the tables also cover
-    /// the abuse and pair stores.
-    pub fn freeze(self) -> FrozenDatasets {
-        let tables = std::sync::Arc::new(crate::intern::EntityTables::build(self.iter_unordered()));
-        self.freeze_with(tables)
-    }
-
-    /// Consumes the datasets into a columnar [`FrozenDatasets`] encoded
-    /// against shared intern tables. Every store is sorted here, so the
-    /// caller can account the cost as one phase.
-    pub fn freeze_with(
-        self,
-        tables: std::sync::Arc<crate::intern::EntityTables>,
-    ) -> FrozenDatasets {
-        FrozenDatasets {
-            samplers: self.samplers,
-            request_sample: self.request_sample.freeze_with(tables.clone()),
-            user_sample: self.user_sample.freeze_with(tables.clone()),
-            ip_sample: self.ip_sample.freeze_with(tables.clone()),
-            prefix_samples: self
-                .prefix_samples
-                .into_iter()
-                .map(|(len, store)| (len, store.freeze_with(tables.clone())))
-                .collect(),
-            offered: self.offered,
-        }
-    }
-}
-
-/// The frozen counterpart of [`StudyDatasets`]: same dataset families, but
-/// every store is an immutable, pre-sorted [`FrozenStore`] shareable across
-/// analysis threads.
+/// The four dataset families of §3.1, frozen: every store is an
+/// immutable, pre-sorted [`FrozenStore`] shareable across analysis
+/// threads.
 #[derive(Debug)]
 pub struct FrozenDatasets {
     /// Sampler configuration the datasets were routed with.
@@ -253,159 +72,20 @@ impl FrozenDatasets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{Asn, Country, UserId};
-    use crate::time::SimDate;
-    use std::net::IpAddr;
-
-    fn rec(user: u64, ip: &str, sec: u32) -> RequestRecord {
-        RequestRecord {
-            ts: crate::time::Timestamp::from_secs(SimDate::ymd(4, 13).start().secs() + sec),
-            user: UserId(user),
-            ip: ip.parse::<IpAddr>().unwrap(),
-            asn: Asn(64496),
-            country: Country::new("US"),
-        }
-    }
-
-    #[test]
-    fn full_rate_retains_everything() {
-        let s = Samplers {
-            request_rate: 1.0,
-            user_rate: 1.0,
-            ip_rate: 1.0,
-            prefix_rate: 1.0,
-        };
-        let mut d = StudyDatasets::with_prefix_lengths(s, &[64, 48]);
-        d.offer(rec(1, "2001:db8::1", 0));
-        d.offer(rec(2, "192.0.2.1", 1));
-        assert_eq!(d.offered, 2);
-        assert_eq!(d.request_sample.len(), 2);
-        assert_eq!(d.user_sample.len(), 2);
-        assert_eq!(d.ip_sample.len(), 2);
-        // Only the IPv6 record lands in prefix samples.
-        assert_eq!(d.prefix_sample(64).len(), 1);
-        assert_eq!(d.prefix_sample(48).len(), 1);
-    }
-
-    #[test]
-    fn user_sample_keeps_all_requests_of_sampled_users() {
-        let s = Samplers {
-            request_rate: 0.0001,
-            user_rate: 0.05,
-            ip_rate: 0.0001,
-            prefix_rate: 0.0,
-        };
-        let mut d = StudyDatasets::with_prefix_lengths(s.clone(), &[]);
-        // Find a sampled user.
-        let sampled_user = (0..10_000)
-            .find(|&u| s.user_sampled(UserId(u)))
-            .expect("some user sampled");
-        for i in 0..50 {
-            d.offer(rec(sampled_user, "2001:db8::1", i));
-        }
-        assert_eq!(
-            d.user_sample.len(),
-            50,
-            "every request of a sampled user is kept"
-        );
-        // And an unsampled user contributes nothing.
-        let unsampled = (0..10_000)
-            .find(|&u| !s.user_sampled(UserId(u)))
-            .expect("some user unsampled");
-        d.offer(rec(unsampled, "2001:db8::2", 99));
-        assert_eq!(d.user_sample.len(), 50);
-    }
 
     #[test]
     #[should_panic(expected = "was not collected")]
     fn missing_prefix_length_panics() {
-        let s = Samplers::paper();
-        let mut d = StudyDatasets::with_prefix_lengths(s, &[64]);
+        let d = FrozenDatasets {
+            samplers: Samplers::paper(),
+            request_sample: FrozenStore::default(),
+            user_sample: FrozenStore::default(),
+            ip_sample: FrozenStore::default(),
+            prefix_samples: HashMap::from([(64, FrozenStore::default())]),
+            offered: 0,
+        };
+        assert_eq!(d.retained(), 0);
+        assert_eq!(d.bytes(), 0);
         let _ = d.prefix_sample(56);
-    }
-
-    #[test]
-    fn merge_equals_serial_offering() {
-        let s = Samplers {
-            request_rate: 0.5,
-            user_rate: 0.5,
-            ip_rate: 0.5,
-            prefix_rate: 0.5,
-        };
-        let records: Vec<RequestRecord> = (0..200)
-            .map(|i| {
-                rec(
-                    i,
-                    if i % 3 == 0 {
-                        "192.0.2.7"
-                    } else {
-                        "2001:db8::1"
-                    },
-                    i as u32,
-                )
-            })
-            .collect();
-
-        let mut serial = StudyDatasets::with_prefix_lengths(s.clone(), &[64, 48]);
-        for r in &records {
-            serial.offer(*r);
-        }
-
-        let mut left = StudyDatasets::with_prefix_lengths(s.clone(), &[64, 48]);
-        let mut right = StudyDatasets::with_prefix_lengths(s, &[64, 48]);
-        for r in &records[..120] {
-            left.offer(*r);
-        }
-        for r in &records[120..] {
-            right.offer(*r);
-        }
-        left.merge(right);
-
-        assert_eq!(left.offered, serial.offered);
-        assert_eq!(left.request_sample.all(), serial.request_sample.all());
-        assert_eq!(left.user_sample.all(), serial.user_sample.all());
-        assert_eq!(left.ip_sample.all(), serial.ip_sample.all());
-        assert_eq!(left.prefix_sample(64).all(), serial.prefix_sample(64).all());
-        assert_eq!(left.prefix_sample(48).all(), serial.prefix_sample(48).all());
-    }
-
-    #[test]
-    #[should_panic(expected = "different configurations")]
-    fn merge_rejects_mismatched_samplers() {
-        let a = Samplers {
-            request_rate: 0.5,
-            user_rate: 0.5,
-            ip_rate: 0.5,
-            prefix_rate: 0.5,
-        };
-        let b = Samplers {
-            request_rate: 0.25,
-            ..a.clone()
-        };
-        let mut da = StudyDatasets::with_prefix_lengths(a, &[]);
-        let db = StudyDatasets::with_prefix_lengths(b, &[]);
-        da.merge(db);
-    }
-
-    #[test]
-    #[should_panic(expected = "different prefix-length sets")]
-    fn merge_rejects_mismatched_prefix_lengths() {
-        let s = Samplers::paper();
-        let mut da = StudyDatasets::with_prefix_lengths(s.clone(), &[64]);
-        let db = StudyDatasets::with_prefix_lengths(s, &[64, 48]);
-        da.merge(db);
-    }
-
-    #[test]
-    fn retained_is_consistent() {
-        let s = Samplers {
-            request_rate: 1.0,
-            user_rate: 1.0,
-            ip_rate: 1.0,
-            prefix_rate: 1.0,
-        };
-        let mut d = StudyDatasets::with_prefix_lengths(s, &[64]);
-        d.offer(rec(1, "2001:db8::1", 0));
-        assert_eq!(d.retained(), 4); // request + user + ip + one prefix store
     }
 }

@@ -383,8 +383,8 @@ impl EntityTables {
 ///
 /// Table construction depends only on the distinct key *sets* (sort +
 /// dedup erase arrival order and multiplicity), so collectors filled in
-/// any order — one per shard during the sim, one per family on a freeze
-/// pool — and unioned with [`KeyCollector::union`] build tables
+/// any order — one per shard during the sim, one per checkpoint day file
+/// on a resume — and unioned with [`KeyCollector::union`] build tables
 /// bit-identical to [`EntityTables::build`] over the same records. Held
 /// keys stay O(distinct entities), not O(rows): a record repeating the
 /// previous record's user or address is skipped outright, and the
@@ -410,15 +410,6 @@ impl KeyCollector {
             compact_at: COMPACT_FLOOR,
             ..Self::default()
         }
-    }
-
-    /// A collector holding the keys of every record in `records`.
-    pub fn from_records<'a>(records: impl Iterator<Item = &'a RequestRecord>) -> Self {
-        let mut keys = Self::new();
-        for r in records {
-            keys.add(r);
-        }
-        keys
     }
 
     /// Adds one record's keys.
@@ -623,7 +614,11 @@ mod tests {
         // mid-stream compaction: the key *sets* alone decide the tables.
         let mut chunks: Vec<KeyCollector> = recs
             .chunks(64)
-            .map(|c| KeyCollector::from_records(c.iter()))
+            .map(|c| {
+                let mut keys = KeyCollector::new();
+                c.iter().for_each(|r| keys.add(r));
+                keys
+            })
             .collect();
         chunks[2].compact();
         let mut all = KeyCollector::new();

@@ -432,9 +432,8 @@ pub fn radix_sort_perm_keys(keys_in: impl ExactSizeIterator<Item = u32>) -> Vec<
 /// Stable-sorts a record buffer by timestamp through the radix
 /// permutation — byte-identical order to
 /// `records.sort_by_key(|r| r.ts)` (the permutation is the stable one,
-/// see [`radix_sort_perm_keys`]), which is the invariant the driver's
-/// sort phase and the spill layer's per-segment sorts rely on for
-/// golden-digest stability.
+/// see [`radix_sort_perm_keys`]), which is the invariant the run
+/// store's per-run sorts rely on for golden-digest stability.
 pub fn radix_sort_records_by_ts(records: &mut Vec<RequestRecord>) {
     if records.len() <= 1 {
         return;

@@ -21,30 +21,28 @@
 //! - [`columns`] — the columnar (struct-of-arrays) record layout:
 //!   [`columns::ColumnStore`] and the borrowed [`columns::ColumnSlice`]
 //!   window every frozen query returns.
-//! - [`store`] — an in-memory request store with time-range and group-by
-//!   helpers; freezing encodes it into columns.
+//! - [`store`] — [`store::FrozenStore`]: one family's rows,
+//!   timestamp-sorted in columns, serving date-range slices.
 //! - [`sink`] — the sealed [`sink::RequestSink`] consumer trait (with its
 //!   `push`/`flush_segment`/`finish` lifecycle) that simulator crates emit
 //!   into, the production [`sink::ShardSink`] that applies the §3.1
 //!   samplers in-stream (collecting each shard's intern keys as it
 //!   routes), the [`sink::Families`] shape every stage of the pipeline
 //!   shares, and a closure adapter.
-//! - [`spill`] — bounded out-of-core segment storage: full-fidelity
-//!   streams spill to disk as per-shard sorted runs and are k-way merged
-//!   back into columnar stores with byte-identical order.
+//! - [`spill`] — the run store: every retained row lives in checksummed,
+//!   timestamp-sorted runs, kept in memory or spilled to segment files,
+//!   and k-way merged into columnar stores with byte-identical order;
+//!   checkpoint day files are runs too.
 //! - [`labels`] — the abusive-account label dataset with creation/detection
 //!   dates (the paper's labels are lifetime-censored by detection; ours
 //!   record both dates so analyses can reproduce that censoring).
-//! - [`dataset`] — [`dataset::StudyDatasets`]: routes a
-//!   simulated request stream into all sampled datasets in one pass.
-//! - [`csv`] — import/export, so these analyses can run over another
-//!   vantage point's telemetry (the replication path of §3.3).
+//! - [`dataset`] — [`dataset::FrozenDatasets`]: the four sampled dataset
+//!   families, frozen.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod columns;
-pub mod csv;
 pub mod dataset;
 pub mod ids;
 pub mod intern;
@@ -58,7 +56,7 @@ pub mod store;
 pub mod time;
 
 pub use columns::{ColumnSlice, ColumnStore, OwnedColumns, RecordView};
-pub use dataset::{FrozenDatasets, StudyDatasets};
+pub use dataset::FrozenDatasets;
 pub use ids::{Asn, Country, DeviceId, HouseholdId, UserId};
 pub use intern::{EntityTables, IpId, IpTable, KeyCollector, UserTable};
 pub use kernels::{
@@ -69,13 +67,11 @@ pub use kernels::{
 pub use labels::{AbuseInfo, AbuseLabels};
 pub use record::RequestRecord;
 pub use sampler::Samplers;
-pub use sink::{
-    Families, FamilyPayload, FnSink, RequestSink, ShardPayload, ShardSink, SinkStorage,
-};
+pub use sink::{Families, FamilyPayload, FnSink, RequestSink, ShardPayload, ShardSink};
 pub use spill::{
-    read_checkpoint_segment, write_checkpoint_segment, IoOp, MemGauge, RunManifest, SpillError,
+    load_checkpoint_segment, write_checkpoint_segment, IoOp, MemGauge, RunManifest, SpillError,
     SpillFaultPlan, SpillPolicy, SpillSession, SpillStats, StorageMode, DEFAULT_IO_RETRIES,
     DEFAULT_SEGMENT_ROWS,
 };
-pub use store::{FrozenStore, RequestStore};
+pub use store::FrozenStore;
 pub use time::{DateRange, SimDate, Timestamp};

@@ -1,22 +1,16 @@
 //! The request-consumer abstraction between simulators and datasets.
 //!
 //! Emitters (the behavior and abuse simulators) produce a stream of
-//! [`RequestRecord`]s; what happens to each record — sampling into the
-//! study datasets, wholesale retention in a [`RequestStore`], streaming
-//! into bounded spill segments, forking to several consumers — is the
-//! caller's business. [`RequestSink`] is that seam: emitters take
-//! `&mut dyn RequestSink`, and this module provides the standard
+//! [`RequestRecord`]s; what happens to each record is the caller's
+//! business. [`RequestSink`] is that seam: emitters take
+//! `&mut dyn RequestSink`, and this module provides the two
 //! implementations:
 //!
 //! - [`ShardSink`] — the production path: routes each record through the
-//!   deterministic §3.1 samplers *during* the sim phase, retaining each
-//!   dataset family either in memory or as sorted spill segments
-//!   ([`SinkStorage`]) and collecting the intern keys of every row it
-//!   keeps,
-//! - [`StudyDatasets`] — routes through the samplers into in-memory
-//!   stores only (tests and ad-hoc pipelines),
-//! - [`RequestStore`] — keeps everything (useful for bounded windows like
-//!   the pair-week store, and in tests),
+//!   deterministic §3.1 samplers *during* the sim phase, streams every
+//!   retained dataset family into a [`SegmentWriter`] — the run store's
+//!   sorted runs, on disk or in memory — and collects the intern keys of
+//!   every row it keeps,
 //! - [`FnSink`] — adapts a closure (tests and one-off probes).
 //!
 //! # Lifecycle
@@ -28,19 +22,19 @@
 //! 1. [`RequestSink::push`] for every record, in emission order;
 //! 2. [`RequestSink::flush_segment`] at stream-defined boundaries (the
 //!    driver calls it once per simulated day) — sinks may publish
-//!    progress/memory telemetry; spill-backed sinks need no forcing here
-//!    because segments auto-flush at `segment_rows`;
-//! 3. [`RequestSink::finish`] exactly once at end of stream — spill
-//!    staging buffers drain to disk as the final (partial) run.
+//!    progress/memory telemetry; writers need no forcing here because
+//!    segments auto-flush at `segment_rows`;
+//! 3. [`RequestSink::finish`] exactly once at end of stream — staging
+//!    buffers drain as the final (partial) run.
 //!
 //! For simple sinks both `flush_segment` and `finish` are no-ops.
 //!
 //! # Storage faults
 //!
 //! `push` is deliberately infallible — emitters are pure simulation code
-//! and never handle I/O. A spill-backed [`ShardSink`] instead **latches**
-//! the first typed [`SpillError`] its writers raise: subsequent records
-//! are counted but no longer routed, [`ShardSink::io_error`] exposes the
+//! and never handle I/O. A [`ShardSink`] instead **latches** the first
+//! typed [`SpillError`] its writers raise: subsequent records are
+//! counted but no longer routed, [`ShardSink::io_error`] exposes the
 //! latched error (the driver polls it at day boundaries to fail fast),
 //! and [`ShardSink::into_payload`] refuses to produce a payload, so a
 //! faulted attempt can never feed partial data into the merge.
@@ -49,12 +43,10 @@ use std::sync::atomic::AtomicU64;
 
 use ipv6_study_netaddr::Ipv6Prefix;
 
-use crate::dataset::StudyDatasets;
 use crate::intern::KeyCollector;
 use crate::record::RequestRecord;
 use crate::sampler::Samplers;
-use crate::spill::{MemGauge, RunManifest, SegmentWriter, SpillError, SpillSession};
-use crate::store::RequestStore;
+use crate::spill::{MemGauge, RunManifest, SegmentWriter, SpillError};
 
 mod sealed {
     //! Seals [`super::RequestSink`]: only this crate's sinks implement it.
@@ -81,20 +73,6 @@ pub trait RequestSink: sealed::Sealed {
     /// staging drains to disk). Called exactly once; the default does
     /// nothing.
     fn finish(&mut self) {}
-}
-
-impl sealed::Sealed for StudyDatasets {}
-impl RequestSink for StudyDatasets {
-    fn push(&mut self, rec: RequestRecord) {
-        self.offer(rec);
-    }
-}
-
-impl sealed::Sealed for RequestStore {}
-impl RequestSink for RequestStore {
-    fn push(&mut self, rec: RequestRecord) {
-        RequestStore::push(self, rec);
-    }
 }
 
 impl sealed::Sealed for &mut dyn RequestSink {}
@@ -129,131 +107,18 @@ impl<F: FnMut(RequestRecord)> RequestSink for FnSink<F> {
     }
 }
 
-/// Where a [`ShardSink`] keeps each retained dataset family.
-pub enum SinkStorage<'a> {
-    /// Rows accumulate in per-family [`RequestStore`]s (the original
-    /// pipeline).
-    Memory,
-    /// Rows stream into per-family [`SegmentWriter`]s under a shared
-    /// [`SpillSession`]; at most `segment_rows` rows per family are ever
-    /// staged in memory.
-    Spill {
-        /// The run's spill session (owns the directory).
-        session: &'a SpillSession,
-        /// Shard index (names the spill files).
-        shard: usize,
-        /// Attempt number (names the spill files, so a failed attempt's
-        /// files can be removed without touching a retry's).
-        attempt: u32,
-        /// Rows staged per family before a sorted run is appended.
-        segment_rows: usize,
-    },
-}
-
-/// One dataset family's backing storage inside a [`ShardSink`].
-enum FamilyStore {
-    Memory(RequestStore),
-    Spill(SegmentWriter),
-}
-
-impl FamilyStore {
-    fn new(storage: &SinkStorage<'_>, family: &str) -> Self {
-        match *storage {
-            SinkStorage::Memory => FamilyStore::Memory(RequestStore::new()),
-            SinkStorage::Spill {
-                session,
-                shard,
-                attempt,
-                segment_rows,
-            } => FamilyStore::Spill(session.writer(shard, attempt, family, segment_rows)),
-        }
-    }
-
-    fn push(&mut self, rec: RequestRecord) -> Result<(), SpillError> {
-        match self {
-            FamilyStore::Memory(s) => {
-                s.push(rec);
-                Ok(())
-            }
-            FamilyStore::Spill(w) => w.push(rec),
-        }
-    }
-
-    /// Mutable row bytes this family currently holds in memory.
-    fn live_bytes(&self) -> u64 {
-        match self {
-            FamilyStore::Memory(s) => (s.len() * std::mem::size_of::<RequestRecord>()) as u64,
-            FamilyStore::Spill(w) => w.staged_bytes(),
-        }
-    }
-
-    fn finish(&mut self) -> Result<(), SpillError> {
-        if let FamilyStore::Spill(w) = self {
-            w.finish()?;
-        }
-        Ok(())
-    }
-
-    fn into_payload(self) -> FamilyPayload {
-        match self {
-            FamilyStore::Memory(s) => FamilyPayload::Rows(s),
-            FamilyStore::Spill(w) => FamilyPayload::Runs(vec![w.into_manifest()]),
-        }
-    }
-}
-
-/// One dataset family's finished output: in-memory rows or spilled run
-/// manifests, depending on the run's [`SinkStorage`].
-pub enum FamilyPayload {
-    /// The family's records, resident in memory.
-    Rows(RequestStore),
-    /// The family's records, spilled as sorted runs on disk: one manifest
-    /// per shard, in plan order.
-    Runs(Vec<RunManifest>),
-}
-
-impl Default for FamilyPayload {
-    /// No records (the neutral element of [`FamilyPayload::append`]).
-    fn default() -> Self {
-        FamilyPayload::Rows(RequestStore::new())
-    }
-}
-
-impl FamilyPayload {
-    /// Records in this family.
-    pub fn rows(&self) -> u64 {
-        match self {
-            FamilyPayload::Rows(s) => s.len() as u64,
-            FamilyPayload::Runs(m) => m.iter().map(RunManifest::rows).sum(),
-        }
-    }
-
-    /// Appends `other`'s records after this family's own, preserving
-    /// both orders — the driver's plan-order merge. Row stores
-    /// concatenate; manifest lists concatenate without moving a record.
-    ///
-    /// # Panics
-    /// Panics when one side holds rows and the other runs, unless the row
-    /// side is empty: one run never mixes storage modes.
-    pub fn append(&mut self, other: FamilyPayload) {
-        match (&mut *self, other) {
-            (FamilyPayload::Rows(a), FamilyPayload::Rows(b)) => a.extend_from(b),
-            (FamilyPayload::Runs(a), FamilyPayload::Runs(b)) => a.extend(b),
-            (FamilyPayload::Rows(a), runs) if a.is_empty() => *self = runs,
-            (FamilyPayload::Runs(_), FamilyPayload::Rows(b)) if b.is_empty() => {}
-            _ => panic!("a dataset family cannot mix in-memory rows and spilled runs"),
-        }
-    }
-}
+/// One dataset family's finished output: its sorted runs, one manifest
+/// per shard in plan order.
+pub type FamilyPayload = Vec<RunManifest>;
 
 /// The retained dataset families of a study in **freeze order**: the
 /// request, user and IP samples, the prefix samples ascending by length,
 /// then the full-fidelity abuse and pair-window streams.
 ///
-/// Generic over what a family holds: shard sinks hand over
-/// `Families<FamilyPayload>`, the driver merges those in plan order, and
-/// the freeze turns them into `Families<FrozenStore>` — one shape from
-/// the sim to the analysis.
+/// Generic over what a family holds: shard sinks write through
+/// `Families<SegmentWriter>` and hand over `Families<FamilyPayload>`, the
+/// driver merges those in plan order, and the freeze turns them into
+/// `Families<FrozenStore>` — one shape from the sim to the analysis.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Families<T> {
     /// Record random sample (§3.1).
@@ -316,6 +181,14 @@ impl<T> Families<T> {
             .into_iter()
             .chain(self.prefixes.iter().map(|(_, f)| f))
             .chain([&self.abuse, &self.pair])
+    }
+
+    /// The families in freeze order, mutably.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        [&mut self.request, &mut self.user, &mut self.ip]
+            .into_iter()
+            .chain(self.prefixes.iter_mut().map(|(_, f)| f))
+            .chain([&mut self.abuse, &mut self.pair])
     }
 
     /// The families in freeze order, by value.
@@ -392,14 +265,14 @@ impl<T> Families<T> {
 }
 
 impl Families<FamilyPayload> {
-    /// Appends every family of `other` after this one's (plan-order
-    /// merge, see [`FamilyPayload::append`]).
+    /// Appends every family's runs of `other` after this one's — the
+    /// plan-order merge, which moves no record.
     ///
     /// # Panics
     /// Panics when the prefix-length sets differ.
     pub fn append(&mut self, other: Families<FamilyPayload>) {
         *self = std::mem::take(self).zip(other).map(|(mut mine, theirs)| {
-            mine.append(theirs);
+            mine.extend(theirs);
             mine
         });
     }
@@ -422,8 +295,8 @@ pub struct ShardPayload {
 }
 
 /// The production per-shard sink: applies the §3.1 [`Samplers`] to every
-/// record *during* the sim phase and retains each dataset family in the
-/// configured [`SinkStorage`].
+/// record *during* the sim phase and streams each retained dataset family
+/// into its [`SegmentWriter`].
 ///
 /// One sink lives for one shard attempt. The routing order per record is
 /// fixed (it defines emission order within every family, which the golden
@@ -432,7 +305,7 @@ pub struct ShardPayload {
 /// then the pair-window stream when [`ShardSink::set_pair_routing`] is on.
 pub struct ShardSink<'a> {
     samplers: Samplers,
-    families: Families<FamilyStore>,
+    families: Families<SegmentWriter>,
     /// Whether the full-fidelity abuse stream is on (abuse shards).
     collect_abuse: bool,
     pair_routing: bool,
@@ -440,7 +313,7 @@ pub struct ShardSink<'a> {
     offered: u64,
     records: u64,
     gauge: Option<(&'a MemGauge, &'a AtomicU64)>,
-    /// The first storage error a spill writer raised; once set, records
+    /// The first storage error a writer raised; once set, records
     /// are counted but no longer routed (see "Storage faults" above).
     error: Option<SpillError>,
 }
@@ -448,21 +321,20 @@ pub struct ShardSink<'a> {
 impl<'a> ShardSink<'a> {
     /// Creates a sink for one shard attempt.
     ///
-    /// `prefix_lengths` need not be sorted or unique; the sink routes in
-    /// ascending-length order. `collect_abuse` turns on the full-fidelity
-    /// abuse stream (abuse shards). `gauge` is the run-wide memory
-    /// high-water gauge plus this attempt's published counter; pass
-    /// `None` to skip memory telemetry.
+    /// `writers` holds one writer per family (the prefix families route
+    /// in ascending-length order). `collect_abuse` turns on the
+    /// full-fidelity abuse stream (abuse shards). `gauge` is the run-wide
+    /// memory high-water gauge plus this attempt's published counter;
+    /// pass `None` to skip memory telemetry.
     pub fn new(
         samplers: Samplers,
-        prefix_lengths: &[u8],
+        writers: Families<SegmentWriter>,
         collect_abuse: bool,
-        storage: SinkStorage<'a>,
         gauge: Option<(&'a MemGauge, &'a AtomicU64)>,
     ) -> Self {
         Self {
             samplers,
-            families: Families::with(prefix_lengths, |name| FamilyStore::new(&storage, name)),
+            families: writers,
             collect_abuse,
             pair_routing: false,
             keys: KeyCollector::new(),
@@ -484,14 +356,14 @@ impl<'a> ShardSink<'a> {
         self.records
     }
 
-    /// The latched storage error, if a spill writer has failed. The
+    /// The latched storage error, if a writer has failed. The
     /// driver polls this at day boundaries so a faulted attempt stops
     /// simulating instead of pushing into a dead sink.
     pub fn io_error(&self) -> Option<&SpillError> {
         self.error.as_ref()
     }
 
-    /// Routes one record through the samplers into the family stores,
+    /// Routes one record through the samplers into the family writers,
     /// recording its entity keys when any family keeps it, and surfacing
     /// the first storage error.
     fn route(&mut self, rec: RequestRecord) -> Result<(), SpillError> {
@@ -515,12 +387,12 @@ impl<'a> ShardSink<'a> {
             kept = true;
         }
         if let Some(addr) = rec.ipv6() {
-            for (len, store) in &mut f.prefixes {
+            for (len, writer) in &mut f.prefixes {
                 if self
                     .samplers
                     .prefix_sampled(Ipv6Prefix::containing(addr, *len))
                 {
-                    store.push(rec)?;
+                    writer.push(rec)?;
                     kept = true;
                 }
             }
@@ -535,22 +407,14 @@ impl<'a> ShardSink<'a> {
         Ok(())
     }
 
-    /// Finishes every family store, surfacing the first storage error.
+    /// Finishes every family's writer, surfacing the first storage error.
     fn finish_families(&mut self) -> Result<(), SpillError> {
-        let f = &mut self.families;
-        for store in [&mut f.request, &mut f.user, &mut f.ip] {
-            store.finish()?;
-        }
-        for (_, store) in &mut f.prefixes {
-            store.finish()?;
-        }
-        f.abuse.finish()?;
-        f.pair.finish()
+        self.families.iter_mut().try_for_each(SegmentWriter::finish)
     }
 
-    /// Mutable row bytes currently held in memory across all families.
+    /// Row bytes currently held in memory across all families.
     fn live_bytes(&self) -> u64 {
-        self.families.iter().map(FamilyStore::live_bytes).sum()
+        self.families.iter().map(SegmentWriter::live_bytes).sum()
     }
 
     fn publish_gauge(&self) {
@@ -560,7 +424,7 @@ impl<'a> ShardSink<'a> {
     }
 
     /// Consumes the sink into its payload. [`RequestSink::finish`] must
-    /// have been called first (spill writers assert it). A sink that
+    /// have been called first (the writers assert it). A sink that
     /// latched a storage error refuses to produce a payload — the typed
     /// error surfaces instead, so partial data never reaches the merge.
     /// The key set is compacted here, on the shard's worker, so the
@@ -571,7 +435,7 @@ impl<'a> ShardSink<'a> {
         }
         self.keys.compact();
         Ok(ShardPayload {
-            families: self.families.map(FamilyStore::into_payload),
+            families: self.families.map(|w| vec![w.into_manifest()]),
             keys: self.keys,
             offered: self.offered,
             records: self.records,
@@ -608,15 +472,24 @@ impl RequestSink for ShardSink<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columns::ColumnStore;
     use crate::ids::{Asn, Country, UserId};
+    use crate::intern::EntityTables;
     use crate::sampler::Samplers;
+    use crate::spill::{merge_manifests, SpillSession};
     use crate::time::SimDate;
+    use std::sync::Arc;
 
     fn rec(user: u64, sec: u32) -> RequestRecord {
+        let ip = if user % 5 == 0 {
+            "10.0.0.7"
+        } else {
+            "2001:db8::1"
+        };
         RequestRecord {
             ts: crate::time::Timestamp::from_secs(SimDate::ymd(4, 13).start().secs() + sec),
             user: UserId(user),
-            ip: "2001:db8::1".parse().unwrap(),
+            ip: ip.parse().unwrap(),
             asn: Asn(64496),
             country: Country::new("US"),
         }
@@ -631,24 +504,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn store_sink_keeps_everything() {
-        let mut store = RequestStore::new();
-        let sink: &mut dyn RequestSink = &mut store;
-        sink.push(rec(1, 0));
-        sink.push(rec(2, 1));
-        sink.flush_segment(); // default no-op
+    /// Pushes `records` through a fresh sink over `session` (pair routing
+    /// on from record `pair_from`) and returns its payload.
+    fn route(
+        session: &SpillSession,
+        samplers: &Samplers,
+        lengths: &[u8],
+        collect_abuse: bool,
+        segment_rows: usize,
+        records: &[RequestRecord],
+        pair_from: usize,
+    ) -> ShardPayload {
+        let writers = Families::with(lengths, |name| session.writer(0, 0, name, segment_rows));
+        let mut sink = ShardSink::new(samplers.clone(), writers, collect_abuse, None);
+        for (i, r) in records.iter().enumerate() {
+            sink.set_pair_routing(i >= pair_from);
+            sink.push(*r);
+        }
         sink.finish();
-        assert_eq!(store.len(), 2);
-    }
-
-    #[test]
-    fn dataset_sink_routes_through_offer() {
-        let mut d = StudyDatasets::with_prefix_lengths(keep_all(), &[]);
-        let sink: &mut dyn RequestSink = &mut d;
-        sink.push(rec(7, 0));
-        assert_eq!(d.offered, 1);
-        assert_eq!(d.request_sample.len(), 1);
+        sink.into_payload().unwrap()
     }
 
     #[test]
@@ -657,67 +531,100 @@ mod tests {
         let mut sink = FnSink(|r: RequestRecord| seen.push(r.user));
         sink.push(rec(3, 0));
         sink.push(rec(4, 1));
+        sink.flush_segment(); // default no-op
+        sink.finish();
         assert_eq!(seen, vec![UserId(3), UserId(4)]);
     }
 
+    /// Every family holds exactly its sampler's rows in std's stable
+    /// timestamp order, and the shard's keys are exactly those of the rows
+    /// it kept — checked against a reference built from the sampler
+    /// predicates alone.
     #[test]
-    fn shard_sink_routes_like_study_datasets() {
-        // Reference path: StudyDatasets + external abuse/pair stores.
+    fn shard_sink_routes_exactly_the_sampled_rows() {
         let samplers = Samplers::scaled_for(1_000);
-        let records: Vec<RequestRecord> = (0..2_000).map(|i| rec(i % 97, i as u32)).collect();
+        // Timestamps cycle, so every family needs its sort.
+        let records: Vec<RequestRecord> = (0..2_000)
+            .map(|i| rec(i % 97, (i * 37 % 501) as u32))
+            .collect();
+        let session = SpillSession::in_memory();
+        let payload = route(
+            &session,
+            &samplers,
+            &[64, 48, 48],
+            false,
+            usize::MAX,
+            &records,
+            1_000,
+        );
 
-        let mut reference = StudyDatasets::with_prefix_lengths(samplers.clone(), &[48, 64]);
-        let mut ref_pair = RequestStore::new();
-        for (i, r) in records.iter().enumerate() {
-            reference.offer(*r);
-            if i >= 1_000 {
-                ref_pair.push(*r);
+        let prefix = |len: u8| {
+            let s = samplers.clone();
+            move |r: &RequestRecord| {
+                r.ipv6()
+                    .is_some_and(|a| s.prefix_sampled(Ipv6Prefix::containing(a, len)))
             }
-        }
-
-        let mut sink = ShardSink::new(samplers, &[64, 48, 48], false, SinkStorage::Memory, None);
-        for (i, r) in records.iter().enumerate() {
-            if i == 1_000 {
-                sink.set_pair_routing(true);
-            }
-            sink.push(*r);
-        }
-        sink.finish();
-        let payload = sink.into_payload().unwrap();
-
-        assert_eq!(payload.offered, reference.offered);
-        assert_eq!(payload.records, 2_000);
-        let f = &payload.families;
-        let rows = |p: &FamilyPayload| match p {
-            FamilyPayload::Rows(s) => s.len(),
-            FamilyPayload::Runs(_) => unreachable!("memory storage"),
         };
-        assert_eq!(rows(&f.abuse), 0, "benign shards keep no abuse stream");
-        assert_eq!(rows(&f.request), reference.request_sample.len());
-        assert_eq!(rows(&f.user), reference.user_sample.len());
-        assert_eq!(rows(&f.ip), reference.ip_sample.len());
-        assert_eq!(rows(&f.pair), ref_pair.len());
+        let reference = Families {
+            request: records
+                .iter()
+                .filter(|r| samplers.request_sampled(r))
+                .copied()
+                .collect(),
+            user: records
+                .iter()
+                .filter(|r| samplers.user_sampled(r.user))
+                .copied()
+                .collect(),
+            ip: records
+                .iter()
+                .filter(|r| samplers.ip_sampled(r))
+                .copied()
+                .collect(),
+            prefixes: [48u8, 64]
+                .into_iter()
+                .map(|len| {
+                    (
+                        len,
+                        records.iter().filter(|r| prefix(len)(r)).copied().collect(),
+                    )
+                })
+                .collect(),
+            abuse: Vec::new(),
+            pair: records[1_000..].to_vec(),
+        }
+        .map(|mut rows: Vec<RequestRecord>| {
+            rows.sort_by_key(|r| r.ts);
+            rows
+        });
+
+        assert_eq!(payload.offered, 2_000);
+        assert_eq!(payload.records, 2_000);
         // Duplicated/unsorted prefix lengths collapse to ascending order.
-        assert_eq!(f.prefix_lengths(), vec![48, 64]);
-        for (len, p) in &f.prefixes {
-            assert_eq!(rows(p), reference.prefix_sample(*len).len(), "/{len}");
+        assert_eq!(payload.families.prefix_lengths(), vec![48, 64]);
+        let tables = Arc::new(EntityTables::from_records(&records));
+        let kept: Vec<RequestRecord> = reference.iter().flatten().copied().collect();
+        for (runs, want) in payload.families.iter().zip(reference.iter()) {
+            assert_eq!(runs.len(), 1, "one manifest per shard");
+            assert_eq!(runs[0].run_count(), usize::from(!want.is_empty()));
+            assert_eq!(
+                merge_manifests(runs, &tables).unwrap(),
+                ColumnStore::encode(want.iter(), &tables)
+            );
         }
-        // The shard's keys are exactly those of the rows it kept.
-        let mut kept = RequestStore::new();
-        for p in f.iter() {
-            if let FamilyPayload::Rows(s) = p {
-                for r in s.iter_unordered() {
-                    kept.push(*r);
-                }
-            }
-        }
-        let direct = crate::intern::EntityTables::build(kept.iter_unordered());
-        assert_eq!(payload.keys.into_tables(), direct);
+        assert!(
+            reference.request.len() < records.len(),
+            "samplers drop rows"
+        );
+        assert_eq!(
+            payload.keys.into_tables(),
+            EntityTables::from_records(&kept)
+        );
     }
 
     #[test]
     fn families_round_trip_through_freeze_order() {
-        let f = Families::with(&[64, 48, 64], str::to_string);
+        let mut f = Families::with(&[64, 48, 64], str::to_string);
         let names: Vec<&String> = f.iter().collect();
         assert_eq!(
             names,
@@ -727,90 +634,83 @@ mod tests {
         let back = Families::from_vec(&lengths, f.clone().into_vec()).unwrap();
         assert_eq!(back, f);
         assert!(Families::<u8>::from_vec(&lengths, vec![0; 3]).is_none());
-        assert_eq!(f.map(|n| n.len()).prefixes, [(48, 3), (64, 3)]);
+        f.iter_mut().for_each(|n| n.push('!'));
+        assert_eq!(f.iter().next().map(String::as_str), Some("request!"));
+        assert_eq!(f.map(|n| n.len()).prefixes, [(48, 4), (64, 4)]);
     }
 
     #[test]
-    fn family_payloads_append_in_order_and_treat_empty_rows_as_neutral() {
-        let mut a = FamilyPayload::default();
-        let mut first = RequestStore::new();
-        first.push(rec(1, 5));
-        a.append(FamilyPayload::Rows(first));
-        let mut second = RequestStore::new();
-        second.push(rec(2, 5));
-        a.append(FamilyPayload::Rows(second));
-        match &mut a {
-            FamilyPayload::Rows(s) => {
-                let users: Vec<UserId> = s.all().iter().map(|r| r.user).collect();
-                assert_eq!(users, [UserId(1), UserId(2)], "plan order breaks ties");
-            }
-            FamilyPayload::Runs(_) => unreachable!(),
-        }
-        let mut runs = FamilyPayload::default();
-        runs.append(FamilyPayload::Runs(Vec::new()));
-        runs.append(FamilyPayload::default());
-        assert!(matches!(runs, FamilyPayload::Runs(ref m) if m.is_empty()));
-        assert_eq!(runs.rows(), 0);
+    fn family_payloads_append_runs_in_plan_order() {
+        let session = SpillSession::in_memory();
+        let shard = |user: u64| {
+            let mut families: Families<FamilyPayload> = Families::new(&[64]);
+            let mut w = session.writer(user as usize, 0, "request", usize::MAX);
+            w.push(rec(user, 5)).unwrap();
+            w.finish().unwrap();
+            families.request.push(w.into_manifest());
+            families
+        };
+        let mut merged = Families::new(&[64]);
+        merged.append(shard(1));
+        merged.append(shard(2));
+        assert_eq!(merged.request.len(), 2);
+        assert!(merged.user.is_empty());
+        // Equal timestamps: plan order breaks the tie.
+        let recs = [rec(1, 5), rec(2, 5)];
+        let tables = Arc::new(EntityTables::from_records(&recs));
+        assert_eq!(
+            merge_manifests(&merged.request, &tables).unwrap(),
+            ColumnStore::encode(recs.iter(), &tables)
+        );
     }
 
     #[test]
     fn shard_sink_publishes_memory_telemetry() {
         let gauge = MemGauge::new();
         let published = AtomicU64::new(0);
-        let mut sink = ShardSink::new(
-            keep_all(),
-            &[],
-            true,
-            SinkStorage::Memory,
-            Some((&gauge, &published)),
-        );
+        let session = SpillSession::in_memory();
+        let writers = Families::with(&[], |name| session.writer(0, 0, name, usize::MAX));
+        let mut sink = ShardSink::new(keep_all(), writers, true, Some((&gauge, &published)));
         for i in 0..10 {
             sink.push(rec(i, i as u32));
         }
         sink.flush_segment();
-        // 10 records × (abuse + request + user + ip) families × 40 bytes.
-        let expected = 10 * 4 * std::mem::size_of::<RequestRecord>() as u64;
-        assert_eq!(gauge.current(), expected);
+        // 10 staged records × (abuse + request + user + ip) × 40 bytes.
+        let staged = 10 * 4 * std::mem::size_of::<RequestRecord>() as u64;
+        assert_eq!(gauge.current(), staged);
         sink.finish();
-        assert_eq!(gauge.peak(), expected);
+        // Finished: four in-memory frames of 10 rows each.
+        let frames = 4 * (crate::spill::RUN_HEADER_BYTES + 10 * crate::spill::SPILL_ROW_BYTES);
+        assert_eq!(gauge.current(), frames as u64);
+        assert_eq!(gauge.peak(), staged);
     }
 
     #[test]
-    fn spill_backed_shard_sink_matches_memory_routing() {
-        let session = crate::spill::SpillSession::create(None).unwrap();
+    fn file_and_memory_backed_sinks_route_identically() {
         let samplers = Samplers::scaled_for(1_000);
         let records: Vec<RequestRecord> = (0..3_000).map(|i| rec(i % 61, i as u32)).collect();
+        let file = SpillSession::create(None).unwrap();
+        let memory = SpillSession::in_memory();
+        let spilled = route(&file, &samplers, &[64], true, 128, &records, 2_500);
+        let kept = route(&memory, &samplers, &[64], true, usize::MAX, &records, 2_500);
 
-        let run = |storage: SinkStorage<'_>| {
-            let mut sink = ShardSink::new(samplers.clone(), &[64], true, storage, None);
-            for r in &records {
-                sink.push(*r);
-            }
-            sink.finish();
-            sink.into_payload().unwrap()
-        };
-        let memory = run(SinkStorage::Memory);
-        let spilled = run(SinkStorage::Spill {
-            session: &session,
-            shard: 0,
-            attempt: 0,
-            segment_rows: 128,
-        });
-
-        assert_eq!(memory.offered, spilled.offered);
-        for (i, (m, s)) in memory
-            .families
-            .iter()
-            .zip(spilled.families.iter())
-            .enumerate()
-        {
-            assert_eq!(m.rows(), s.rows(), "family {i} row count");
+        assert_eq!(kept.offered, spilled.offered);
+        assert_eq!(kept.families.abuse[0].rows(), 3_000);
+        assert!(
+            spilled.families.abuse[0].run_count() > 1,
+            "segments flushed"
+        );
+        let tables = Arc::new(EntityTables::from_records(&records));
+        for (m, s) in kept.families.iter().zip(spilled.families.iter()) {
+            assert_eq!(
+                merge_manifests(m, &tables).unwrap(),
+                merge_manifests(s, &tables).unwrap()
+            );
         }
-        assert_eq!(memory.families.abuse.rows(), 3_000);
         assert_eq!(
-            memory.keys.into_tables(),
+            kept.keys.into_tables(),
             spilled.keys.into_tables(),
-            "keys do not depend on the storage mode"
+            "keys do not depend on the byte backend"
         );
     }
 }

@@ -1,21 +1,30 @@
-//! Out-of-core segment storage: bounded, crash-safe spill of request
-//! streams to disk.
+//! The run store: every retained row of a study lives in checksummed,
+//! timestamp-sorted **runs**, with two byte backends.
 //!
-//! The in-memory pipeline holds every retained record as a 40-byte
-//! [`RequestRecord`] until the driver's sort phase — O(records) peak
-//! memory, which caps the simulable population. This module removes that
-//! floor: a shard's sink can stream each dataset family into a
-//! [`SegmentWriter`] that stages at most `segment_rows` records, stable-
-//! sorts each full segment by timestamp, and appends it to a per-family
-//! spill file as one **sorted run**. After the sim phase, the driver
-//! rebuilds the exact in-memory byte order with a k-way merge over all
-//! runs ([`merge_manifests`]) — no record is ever re-buffered wholesale.
+//! A shard's sink streams each dataset family into a [`SegmentWriter`]
+//! that stages at most `segment_rows` records, stable-sorts each full
+//! segment by timestamp, and appends it as one sorted run frame. Where
+//! the frames go is the session's choice:
+//!
+//! - **file** ([`SpillSession::create`], [`StorageMode::Spill`]): frames
+//!   append to a per-family segment file, so peak memory is bounded by
+//!   the staging buffers, independent of the population;
+//! - **memory** ([`SpillSession::in_memory`], [`StorageMode::InMemory`]):
+//!   frames append to a `Vec<u8>`. The driver sets `segment_rows` to
+//!   `usize::MAX` here, so each shard family is one run, sorted on the
+//!   shard's worker when the sink finishes.
+//!
+//! The incremental engine's checkpoint day files are runs too: one frame
+//! per file ([`write_checkpoint_segment`]), loaded back as in-memory runs
+//! with their intern keys ([`load_checkpoint_segment`]). After the sim
+//! phase, one k-way merge over all runs ([`merge_manifests`]) rebuilds
+//! the canonical row order straight into columns.
 //!
 //! # Determinism (merge-by-concatenation)
 //!
-//! The in-memory pipeline's final order is a *stable* sort by timestamp
-//! of the shard outputs concatenated in plan order; ties resolve by
-//! emission order. Spill reproduces it exactly:
+//! The canonical order is a *stable* sort by timestamp of the shard
+//! outputs concatenated in plan order; ties resolve by emission order.
+//! The runs reproduce it exactly:
 //!
 //! 1. within a run, the staging buffer is stable-sorted, so equal
 //!    timestamps keep emission order;
@@ -25,10 +34,10 @@
 //! 3. the k-way merge pops by `(timestamp, run index)`, which is exactly
 //!    the stable sort's tie-break.
 //!
-//! The merge phase itself moves no records between files — shard
-//! manifests simply concatenate in plan order ("merge-by-concatenation");
-//! all inter-run ordering is deferred to the single streaming pass that
-//! encodes rows into the columnar stores.
+//! The merge phase itself moves no records — shard manifests simply
+//! concatenate in plan order ("merge-by-concatenation"); all inter-run
+//! ordering is deferred to the single streaming pass that encodes rows
+//! into the columnar stores.
 //!
 //! # Fault safety
 //!
@@ -41,32 +50,34 @@
 //!   the pre-run length and is retried up to
 //!   [`SpillPolicy::max_io_retries`] times before surfacing, so a
 //!   transient error never leaves a torn run behind.
-//! * [`SpillError::Corrupt`] — on-disk data failed verification at read
-//!   time: a bad run header, a truncated (torn) run, an unknown row tag,
-//!   or a checksum mismatch. Reported with path, run index and byte
-//!   offset.
+//! * [`SpillError::Corrupt`] — stored data failed verification at read
+//!   time: a bad run header, a truncated (torn) or padded frame, an
+//!   unknown row tag, or a checksum mismatch. Reported with path, run
+//!   index and byte offset.
 //! * [`SpillError::Budget`] — admitting the next run would exceed the
 //!   session's [`SpillPolicy::disk_budget_bytes`]. The driver maps this
 //!   to a policy-governed degradation instead of filling the disk.
 //!
-//! Each run is written as a self-describing frame — a
-//! [`RUN_HEADER_BYTES`]-byte header (magic, row count, xxHash64 chain
-//! checksum) followed by the 35-byte rows — and the k-way merge's
-//! verification pass re-derives the checksum and length of every run
-//! before decoding a row, so torn writes and flipped bytes are
-//! *detected*, never decoded into figures. (The intern keys never come
-//! from disk: the shard sinks collect them as rows are routed.) A failed attempt's partial files are deleted by
-//! [`SpillSession::remove_attempt`]; the whole session directory is
-//! removed when the [`SpillSession`] drops — on success and on failure
-//! paths alike.
+//! Each run is one self-describing frame — a [`RUN_HEADER_BYTES`]-byte
+//! header (magic, row count, xxHash64 chain checksum) followed by the
+//! 35-byte rows — written by one encoder and checked by one verifier:
+//! the merge verifies every file run before decoding a row from it, and
+//! a checkpoint load verifies its file while collecting the keys, so torn
+//! writes and flipped bytes are *detected*, never decoded into figures.
+//! In-memory frames never left the process (or were verified when they
+//! were loaded), so the merge streams them directly. A failed attempt's
+//! partial files are deleted by [`SpillSession::remove_attempt`]; the
+//! whole session directory is removed when the [`SpillSession`] drops —
+//! on success and on failure paths alike.
 //!
 //! Deterministic I/O fault injection for chaos tests rides on
 //! [`SpillFaultPlan`]: every decision is a pure function of (seed, stream
 //! id, op index, io attempt), where the stream id hashes the file name —
 //! which encodes shard, attempt and family — so injected faults are
-//! byte-reproducible at any thread count.
+//! byte-reproducible at any thread count. Fault injection, the disk
+//! budget and [`SpillStats`] apply to the file backend only.
 
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::net::IpAddr;
@@ -79,7 +90,7 @@ use ipv6_study_stats::hash::{stable_hash64, StableHasher};
 
 use crate::columns::ColumnStore;
 use crate::ids::{Asn, Country, UserId};
-use crate::intern::EntityTables;
+use crate::intern::{EntityTables, KeyCollector};
 use crate::record::RequestRecord;
 use crate::store::FrozenStore;
 use crate::time::Timestamp;
@@ -99,6 +110,9 @@ pub const SPILL_ROW_BYTES: usize = 35;
 /// checksum (8).
 pub const RUN_HEADER_BYTES: usize = 20;
 
+/// Rows the k-way merge collects before encoding them into columns.
+const ENCODE_BATCH: usize = 1024;
+
 /// Default op-level retry budget for a failed spill read or write.
 pub const DEFAULT_IO_RETRIES: u32 = 2;
 
@@ -113,8 +127,9 @@ const CHECKSUM_SEED: u64 = 0x5350_4C43; // "SPLC"
 /// sim phase.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum StorageMode {
-    /// Every retained record stays in memory until the sort phase — the
-    /// original pipeline. Peak memory is O(retained records).
+    /// Every retained record stays in memory, as one sorted run per shard
+    /// and family (frames in a `Vec<u8>`). Peak memory is O(retained
+    /// records).
     #[default]
     InMemory,
     /// Shards stream every dataset family into bounded sorted segments on
@@ -458,11 +473,11 @@ fn stream_id(path: &Path) -> u64 {
     stable_hash64(0x5354_524D, name.as_bytes()) // "STRM"
 }
 
-/// A shared high-water-mark gauge over the mutable (row-format) bytes the
-/// sim phase holds in memory: shard-local in-memory stores plus spill
-/// staging buffers. Frozen columnar output, intern tables, and merge
-/// cursors are excluded — the gauge measures what *scales with work in
-/// flight*, which is what the out-of-core pipeline bounds.
+/// A shared high-water-mark gauge over the row bytes the sim phase holds
+/// in memory: staging buffers (at 40 bytes per row) plus, in memory
+/// mode, the finished run frames. Frozen columnar output, intern tables,
+/// and merge cursors are excluded — the gauge measures what *scales with
+/// work in flight*, which is what the file backend bounds.
 #[derive(Debug, Default)]
 pub struct MemGauge {
     current: AtomicU64,
@@ -566,12 +581,15 @@ fn decode_row(buf: &[u8; SPILL_ROW_BYTES]) -> Result<RequestRecord, u8> {
 /// collide on a directory name.
 static SESSION_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// One run's private spill directory. Files are created lazily by
-/// [`SegmentWriter`]s; the directory (and everything in it) is removed on
-/// drop, so a completed — or aborted — run leaves nothing behind.
+/// One study run's run store. A file session owns a private directory:
+/// files are created lazily by [`SegmentWriter`]s, and the directory (and
+/// everything in it) is removed on drop, so a completed — or aborted —
+/// run leaves nothing behind. A memory session keeps every frame in
+/// memory.
 #[derive(Debug)]
 pub struct SpillSession {
-    dir: PathBuf,
+    /// The session directory; `None` for a memory session.
+    dir: Option<PathBuf>,
     shared: Arc<SpillShared>,
 }
 
@@ -592,7 +610,7 @@ impl SpillSession {
         let dir = parent.join(format!("ipv6-spill-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir)?;
         Ok(Self {
-            dir,
+            dir: Some(dir),
             shared: Arc::new(SpillShared {
                 policy,
                 ..SpillShared::default()
@@ -600,12 +618,22 @@ impl SpillSession {
         })
     }
 
-    /// The session directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// A session whose writers keep their frames in memory: no
+    /// directory, no fault injection, no disk budget.
+    pub fn in_memory() -> Self {
+        Self {
+            dir: None,
+            shared: Arc::default(),
+        }
     }
 
-    /// Snapshot of the session's storage-fault counters.
+    /// The session directory (`None` for a memory session).
+    pub fn dir(&self) -> Option<&Path> {
+        self.dir.as_deref()
+    }
+
+    /// Snapshot of the session's storage-fault counters (all zero for a
+    /// memory session).
     pub fn stats(&self) -> SpillStats {
         self.shared.stats()
     }
@@ -615,7 +643,8 @@ impl SpillSession {
         format!("s{shard:05}-a{attempt:02}-")
     }
 
-    /// A segment writer for one `(shard, attempt, family)` stream.
+    /// A segment writer for one `(shard, attempt, family)` stream, backed
+    /// by a file in a file session and by memory otherwise.
     pub fn writer(
         &self,
         shard: usize,
@@ -624,16 +653,21 @@ impl SpillSession {
         segment_rows: usize,
     ) -> SegmentWriter {
         let name = format!("{}{family}.seg", Self::attempt_prefix(shard, attempt));
-        SegmentWriter::new(self.dir.join(name), segment_rows, Arc::clone(&self.shared))
+        let (path, frames) = match &self.dir {
+            Some(dir) => (dir.join(name), Frames::File(None)),
+            None => (PathBuf::from(name), Frames::Memory(Vec::new())),
+        };
+        SegmentWriter::new(path, frames, segment_rows, Arc::clone(&self.shared))
     }
 
     /// Best-effort removal of every file a failed attempt wrote, so a
     /// retried shard starts from a clean directory and a completed run
     /// holds only the files of successful attempts. Removed bytes are
-    /// released back to the disk budget.
+    /// released back to the disk budget. (A memory attempt's frames drop
+    /// with its writers.)
     pub fn remove_attempt(&self, shard: usize, attempt: u32) {
         let prefix = Self::attempt_prefix(shard, attempt);
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
+        let Some(Ok(entries)) = self.dir.as_ref().map(std::fs::read_dir) else {
             return;
         };
         for entry in entries.flatten() {
@@ -653,12 +687,14 @@ impl SpillSession {
 
 impl Drop for SpillSession {
     fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
+        if let Some(dir) = &self.dir {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 }
 
-/// One sorted run's location and verification data within a segment
-/// file: byte offset of its frame header, row count, chain checksum.
+/// One sorted run's location and verification data within its byte
+/// backend: offset of its frame header, row count, chain checksum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RunMeta {
     offset: u64,
@@ -666,16 +702,36 @@ struct RunMeta {
     checksum: u64,
 }
 
-/// Where one family's spilled stream lives: its file plus the frame
-/// metadata of each sorted run, in emission order.
+/// Where one family's sorted runs live — a segment file or frames in
+/// memory — plus the frame metadata of each run, in emission order.
 #[derive(Debug, Clone)]
 pub struct RunManifest {
+    /// The segment file; for frames in memory, the name errors report.
     path: PathBuf,
+    /// The frames, when they live in memory; `None` reads `path`.
+    frames: Option<Arc<Vec<u8>>>,
     runs: Vec<RunMeta>,
     shared: Arc<SpillShared>,
 }
 
 impl RunManifest {
+    /// One in-memory run holding `rows` in the given (timestamp-sorted)
+    /// order — how the incremental engine thaws a frozen store. `name`
+    /// labels the run in error messages.
+    pub fn from_rows(
+        name: impl Into<PathBuf>,
+        rows: impl IntoIterator<Item = RequestRecord>,
+    ) -> Self {
+        let mut frames = Vec::new();
+        let meta = encode_frame(&mut frames, rows);
+        Self {
+            path: name.into(),
+            frames: Some(Arc::new(frames)),
+            runs: vec![meta],
+            shared: Arc::default(),
+        }
+    }
+
     /// Total rows across all runs.
     pub fn rows(&self) -> u64 {
         self.runs.iter().map(|r| r.rows).sum()
@@ -687,14 +743,53 @@ impl RunManifest {
     }
 }
 
-/// Streams one family's records into bounded sorted runs on disk.
+/// The one run-frame encoder, shared by [`SegmentWriter`], checkpoint
+/// saves and [`RunManifest::from_rows`]: appends `rows`, in the given
+/// order, to `out` as magic, row count, chain checksum, then the 35-byte
+/// rows. Returns the frame's metadata, its offset being its position in
+/// `out`.
+fn encode_frame(out: &mut Vec<u8>, rows: impl IntoIterator<Item = RequestRecord>) -> RunMeta {
+    let rows = rows.into_iter();
+    out.reserve(RUN_HEADER_BYTES + rows.size_hint().0 * SPILL_ROW_BYTES);
+    let start = out.len();
+    out.extend_from_slice(&RUN_MAGIC.to_le_bytes());
+    out.extend_from_slice(&[0u8; 16]); // row count and checksum, patched below
+    let mut buf = [0u8; SPILL_ROW_BYTES];
+    let mut meta = RunMeta {
+        offset: start as u64,
+        rows: 0,
+        checksum: CHECKSUM_SEED,
+    };
+    for r in rows {
+        encode_row(&r, &mut buf);
+        meta.checksum = stable_hash64(meta.checksum, &buf);
+        meta.rows += 1;
+        out.extend_from_slice(&buf);
+    }
+    out[start + 4..start + 12].copy_from_slice(&meta.rows.to_le_bytes());
+    out[start + 12..start + 20].copy_from_slice(&meta.checksum.to_le_bytes());
+    meta
+}
+
+/// Where a [`SegmentWriter`] appends its frames: the run store's two
+/// byte backends.
+#[derive(Debug)]
+enum Frames {
+    /// A segment file, created lazily on the first run.
+    File(Option<File>),
+    /// A buffer in memory.
+    Memory(Vec<u8>),
+}
+
+/// Streams one family's records into bounded sorted runs.
 ///
 /// Records are staged in memory; when the staging buffer reaches
-/// `segment_rows` it is stable-sorted by timestamp and appended to the
-/// file as one checksummed frame. The file is created lazily on the first
-/// flush, so record-free families cost nothing.
+/// `segment_rows` (or the stream finishes) it is stable-sorted by
+/// timestamp and appended as one checksummed frame — to the segment file,
+/// created lazily on the first flush so record-free families cost
+/// nothing, or to the writer's in-memory buffer.
 ///
-/// Frame writes are all-or-nothing: on any write failure (real or
+/// File writes are all-or-nothing: on any write failure (real or
 /// injected) the file is truncated back to the pre-run length and the
 /// whole frame is retried up to the policy's op-retry budget, after which
 /// the error surfaces as a typed [`SpillError`].
@@ -702,8 +797,9 @@ impl RunManifest {
 pub struct SegmentWriter {
     path: PathBuf,
     stream: u64,
-    file: Option<File>,
-    file_len: u64,
+    frames: Frames,
+    /// Bytes of frames appended so far (the next run's offset).
+    len: u64,
     staging: Vec<RequestRecord>,
     segment_rows: usize,
     runs: Vec<RunMeta>,
@@ -712,14 +808,14 @@ pub struct SegmentWriter {
 }
 
 impl SegmentWriter {
-    fn new(path: PathBuf, segment_rows: usize, shared: Arc<SpillShared>) -> Self {
+    fn new(path: PathBuf, frames: Frames, segment_rows: usize, shared: Arc<SpillShared>) -> Self {
         debug_assert!(segment_rows > 0, "segment_rows must be non-zero");
         let stream = stream_id(&path);
         Self {
             path,
             stream,
-            file: None,
-            file_len: 0,
+            frames,
+            len: 0,
             staging: Vec::new(),
             segment_rows: segment_rows.max(1),
             runs: Vec::new(),
@@ -728,7 +824,7 @@ impl SegmentWriter {
         }
     }
 
-    /// Appends one record, flushing a full segment to disk.
+    /// Appends one record, flushing a full segment as one run.
     pub fn push(&mut self, rec: RequestRecord) -> Result<(), SpillError> {
         self.staging.push(rec);
         if self.staging.len() >= self.segment_rows {
@@ -737,10 +833,15 @@ impl SegmentWriter {
         Ok(())
     }
 
-    /// Bytes currently staged in memory (logical row bytes, the unit the
-    /// [`MemGauge`] tracks).
-    pub fn staged_bytes(&self) -> u64 {
-        (self.staging.len() * std::mem::size_of::<RequestRecord>()) as u64
+    /// Bytes this writer holds in memory, the unit the [`MemGauge`]
+    /// tracks: staged rows at their logical 40-byte size, plus the frames
+    /// of a memory-backed writer.
+    pub fn live_bytes(&self) -> u64 {
+        let frames = match &self.frames {
+            Frames::Memory(buf) => buf.len(),
+            Frames::File(_) => 0,
+        };
+        (self.staging.len() * std::mem::size_of::<RequestRecord>() + frames) as u64
     }
 
     /// Sorts and appends the staged records as one checksummed run frame.
@@ -748,32 +849,34 @@ impl SegmentWriter {
         if self.staging.is_empty() {
             return Ok(());
         }
-        // Stable: equal timestamps keep emission order, exactly like the
-        // in-memory store's final sort (same radix permutation path).
+        // Stable: equal timestamps keep emission order.
         crate::kernels::radix_sort_records_by_ts(&mut self.staging);
+        let meta = if let Frames::Memory(buf) = &mut self.frames {
+            encode_frame(buf, self.staging.iter().copied())
+        } else {
+            // Build the whole frame in memory (bounded by the segment
+            // envelope the staging buffer already paid for) so the write
+            // is a single all-or-nothing op.
+            let mut frame = Vec::new();
+            let meta = encode_frame(&mut frame, self.staging.iter().copied());
+            self.append_to_file(&frame)?;
+            RunMeta {
+                offset: self.len,
+                ..meta
+            }
+        };
+        self.len += RUN_HEADER_BYTES as u64 + meta.rows * SPILL_ROW_BYTES as u64;
+        self.runs.push(meta);
+        self.staging.clear();
+        Ok(())
+    }
 
-        // Build the whole frame in memory (bounded by the segment
-        // envelope the staging buffer already paid for) so the write is
-        // a single all-or-nothing op.
-        let rows = self.staging.len() as u64;
-        let payload_len = self.staging.len() * SPILL_ROW_BYTES;
-        let mut frame = Vec::with_capacity(RUN_HEADER_BYTES + payload_len);
-        frame.extend_from_slice(&RUN_MAGIC.to_le_bytes());
-        frame.extend_from_slice(&rows.to_le_bytes());
-        frame.extend_from_slice(&[0u8; 8]); // checksum patched below
-        let mut buf = [0u8; SPILL_ROW_BYTES];
-        let mut checksum = CHECKSUM_SEED;
-        for r in &self.staging {
-            encode_row(r, &mut buf);
-            checksum = stable_hash64(checksum, &buf);
-            frame.extend_from_slice(&buf);
-        }
-        frame[12..20].copy_from_slice(&checksum.to_le_bytes());
-        let frame_len = frame.len() as u64;
-
+    /// Appends one frame to the segment file within the disk budget.
+    fn append_to_file(&mut self, frame: &[u8]) -> Result<(), SpillError> {
         // Disk-budget admission: reserve the frame before writing; the
         // reservation is released again on failure (and by
         // `remove_attempt` when a failed attempt's files are deleted).
+        let frame_len = frame.len() as u64;
         let prev = self
             .shared
             .bytes_written
@@ -787,33 +890,27 @@ impl SegmentWriter {
                 });
             }
         }
-
-        if let Err(e) = self.write_frame(&frame) {
+        self.write_frame(frame).inspect_err(|_| {
             self.shared.release_bytes(frame_len);
-            return Err(e);
-        }
-        self.runs.push(RunMeta {
-            offset: self.file_len,
-            rows,
-            checksum,
-        });
-        self.file_len += frame_len;
-        self.staging.clear();
-        Ok(())
+        })
     }
 
-    /// Writes one frame at the current end of file, rolling a torn write
-    /// back and retrying within the op budget.
+    /// Writes one frame at the current end of the segment file, rolling a
+    /// torn write back and retrying within the op budget.
     fn write_frame(&mut self, frame: &[u8]) -> Result<(), SpillError> {
         let op = self.write_ops;
         self.write_ops += 1;
-        let start = self.file_len;
-        if self.file.is_none() {
-            let f = File::create(&self.path)
-                .map_err(|e| SpillError::io(&self.path, IoOp::Create, &e))?;
-            self.file = Some(f);
-        }
-        // The file handle exists for the rest of this call.
+        let start = self.len;
+        let path = &self.path;
+        let Frames::File(slot) = &mut self.frames else {
+            return Ok(()); // memory writers append in `flush_run`
+        };
+        let file = match slot {
+            Some(f) => f,
+            None => {
+                slot.insert(File::create(path).map_err(|e| SpillError::io(path, IoOp::Create, &e))?)
+            }
+        };
         let mut io_attempt = 0u32;
         loop {
             let injected = self
@@ -822,63 +919,56 @@ impl SegmentWriter {
                 .faults
                 .as_ref()
                 .and_then(|p| p.write_failure(self.stream, op, io_attempt, frame.len()));
-            let result: std::io::Result<()> = match (&mut self.file, injected) {
-                (Some(f), Some(short)) => {
+            let result = match injected {
+                Some(short) => {
                     // Tear `short` frame bytes onto disk, then report the
                     // injected transient failure.
-                    let _ = f.write_all(&frame[..short]);
+                    let _ = file.write_all(&frame[..short]);
                     Err(std::io::Error::new(
                         std::io::ErrorKind::Interrupted,
                         "injected transient write fault",
                     ))
                 }
-                (Some(f), None) => f.write_all(frame),
-                (None, _) => return Ok(()), // unreachable: created above
+                None => file.write_all(frame),
             };
-            match result {
-                Ok(()) => break,
-                Err(e) => {
-                    // All-or-nothing: drop whatever prefix landed.
-                    if let Some(f) = &mut self.file {
-                        f.set_len(start)
-                            .map_err(|t| SpillError::io(&self.path, IoOp::Write, &t))?;
-                        f.seek(SeekFrom::Start(start))
-                            .map_err(|t| SpillError::io(&self.path, IoOp::Seek, &t))?;
-                    }
-                    if io_attempt < self.shared.policy.max_io_retries {
-                        self.shared.io_retries.fetch_add(1, Ordering::Relaxed);
-                        io_attempt += 1;
-                        continue;
-                    }
-                    return Err(SpillError::io(&self.path, IoOp::Write, &e));
-                }
+            let Err(e) = result else {
+                break;
+            };
+            // All-or-nothing: drop whatever prefix landed.
+            file.set_len(start)
+                .map_err(|t| SpillError::io(path, IoOp::Write, &t))?;
+            file.seek(SeekFrom::Start(start))
+                .map_err(|t| SpillError::io(path, IoOp::Seek, &t))?;
+            if io_attempt >= self.shared.policy.max_io_retries {
+                return Err(SpillError::io(path, IoOp::Write, &e));
             }
+            self.shared.io_retries.fetch_add(1, Ordering::Relaxed);
+            io_attempt += 1;
         }
         // Deterministic post-write corruption (chaos tests): flip one
         // payload byte so the read-side checksum must catch it.
-        if let Some(plan) = self.shared.policy.faults.as_ref() {
-            if let Some(off) =
-                plan.corrupt_offset(self.stream, op, (frame.len() - RUN_HEADER_BYTES) as u64)
-            {
-                if let Some(f) = &mut self.file {
-                    let pos = start + RUN_HEADER_BYTES as u64 + off;
-                    let flipped = [frame[RUN_HEADER_BYTES + off as usize] ^ 0xA5];
-                    f.seek(SeekFrom::Start(pos))
-                        .map_err(|e| SpillError::io(&self.path, IoOp::Seek, &e))?;
-                    f.write_all(&flipped)
-                        .map_err(|e| SpillError::io(&self.path, IoOp::Write, &e))?;
-                    f.seek(SeekFrom::Start(start + frame.len() as u64))
-                        .map_err(|e| SpillError::io(&self.path, IoOp::Seek, &e))?;
-                }
-            }
+        let corrupt_at = self.shared.policy.faults.as_ref().and_then(|plan| {
+            plan.corrupt_offset(self.stream, op, (frame.len() - RUN_HEADER_BYTES) as u64)
+        });
+        if let Some(off) = corrupt_at {
+            let pos = start + RUN_HEADER_BYTES as u64 + off;
+            let flipped = [frame[RUN_HEADER_BYTES + off as usize] ^ 0xA5];
+            file.seek(SeekFrom::Start(pos))
+                .map_err(|e| SpillError::io(path, IoOp::Seek, &e))?;
+            file.write_all(&flipped)
+                .map_err(|e| SpillError::io(path, IoOp::Write, &e))?;
+            file.seek(SeekFrom::Start(start + frame.len() as u64))
+                .map_err(|e| SpillError::io(path, IoOp::Seek, &e))?;
         }
         Ok(())
     }
 
-    /// Flushes the final partial run and the OS buffer. Idempotent.
+    /// Flushes the final partial run and the OS buffer, and releases the
+    /// staging buffer. Idempotent.
     pub fn finish(&mut self) -> Result<(), SpillError> {
         self.flush_run()?;
-        if let Some(f) = self.file.as_mut() {
+        self.staging = Vec::new();
+        if let Frames::File(Some(f)) = &mut self.frames {
             f.flush()
                 .map_err(|e| SpillError::io(&self.path, IoOp::Flush, &e))?;
         }
@@ -887,17 +977,48 @@ impl SegmentWriter {
 
     /// Consumes the writer into its manifest; [`SegmentWriter::finish`]
     /// must have been called (asserted).
-    pub fn into_manifest(mut self) -> RunManifest {
+    pub fn into_manifest(self) -> RunManifest {
         debug_assert!(self.staging.is_empty(), "into_manifest before finish()");
-        if let Some(f) = self.file.take() {
-            drop(f);
-        }
+        let frames = match self.frames {
+            Frames::Memory(buf) => Some(Arc::new(buf)),
+            Frames::File(_) => None, // the file closes here
+        };
         RunManifest {
             path: self.path,
+            frames,
             runs: self.runs,
             shared: self.shared,
         }
     }
+}
+
+/// What a frame read reports when the bytes run out.
+const TORN: &str = "unexpected end of file (torn write?)";
+
+/// Counts one verification failure and builds its located error.
+fn corrupt(
+    shared: &SpillShared,
+    path: &Path,
+    run: usize,
+    offset: u64,
+    reason: String,
+) -> SpillError {
+    shared.checksum_failures.fetch_add(1, Ordering::Relaxed);
+    SpillError::Corrupt {
+        path: path.to_path_buf(),
+        run,
+        offset,
+        reason,
+    }
+}
+
+/// The bytes of run frames, read front to back: a segment file streamed
+/// through the fault plan, or a byte slice in memory — so one verifier
+/// and one merge cursor serve both backends.
+trait FrameSource {
+    /// Reads exactly `buf.len()` bytes. Running out of bytes is a torn
+    /// frame: [`SpillError::Corrupt`] at `run` and `offset`.
+    fn read_exact_at(&mut self, buf: &mut [u8], run: usize, offset: u64) -> Result<(), SpillError>;
 }
 
 /// A buffered reader over one segment file that routes every read op
@@ -930,12 +1051,12 @@ impl FaultedReader {
             shared,
         })
     }
+}
 
+impl FrameSource for FaultedReader {
     /// One read op: injected faults are decided *before* the data moves,
-    /// so an op-level retry simply re-issues the same read. A short file
-    /// (torn write) surfaces as [`SpillError::Corrupt`] at the given run
-    /// and offset.
-    fn read_exact_op(&mut self, buf: &mut [u8], run: usize, offset: u64) -> Result<(), SpillError> {
+    /// so an op-level retry simply re-issues the same read.
+    fn read_exact_at(&mut self, buf: &mut [u8], run: usize, offset: u64) -> Result<(), SpillError> {
         let op = self.ops;
         self.ops += 1;
         if let Some(plan) = self.shared.policy.faults.as_ref() {
@@ -955,160 +1076,191 @@ impl FaultedReader {
         }
         self.reader.read_exact(buf).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                self.shared
-                    .checksum_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                SpillError::Corrupt {
-                    path: self.path.clone(),
-                    run,
-                    offset,
-                    reason: "unexpected end of file (torn write?)".into(),
-                }
+                corrupt(&self.shared, &self.path, run, offset, TORN.into())
             } else {
                 SpillError::io(&self.path, IoOp::Read, &e)
             }
         })
     }
+}
 
-    /// Reads and validates one run's frame header against the manifest.
-    fn read_header(&mut self, run: usize, meta: &RunMeta) -> Result<(), SpillError> {
-        let mut hdr = [0u8; RUN_HEADER_BYTES];
-        self.read_exact_op(&mut hdr, run, meta.offset)?;
-        let corrupt = |reason: String| {
-            self.shared
-                .checksum_failures
-                .fetch_add(1, Ordering::Relaxed);
-            Err(SpillError::Corrupt {
-                path: self.path.clone(),
-                run,
-                offset: meta.offset,
-                reason,
-            })
+/// A frame source over bytes in memory.
+struct SliceReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    path: &'a Path,
+    shared: &'a SpillShared,
+}
+
+impl FrameSource for SliceReader<'_> {
+    fn read_exact_at(&mut self, buf: &mut [u8], run: usize, offset: u64) -> Result<(), SpillError> {
+        let end = self.pos + buf.len();
+        let Some(bytes) = self.bytes.get(self.pos..end) else {
+            return Err(corrupt(self.shared, self.path, run, offset, TORN.into()));
         };
-        let magic = le_u32(&hdr[0..4]);
-        if magic != RUN_MAGIC {
-            return corrupt(format!("bad run magic {magic:#010x}"));
-        }
-        let rows = le_u64(&hdr[4..12]);
-        if rows != meta.rows {
-            return corrupt(format!("header rows {rows} != manifest rows {}", meta.rows));
-        }
-        let checksum = le_u64(&hdr[12..20]);
-        if checksum != meta.checksum {
-            return corrupt(format!(
-                "header checksum {checksum:#018x} != manifest checksum {:#018x}",
-                meta.checksum
-            ));
-        }
+        buf.copy_from_slice(bytes);
+        self.pos = end;
         Ok(())
     }
 }
 
-/// Decodes one row, mapping an unknown family tag to a located
-/// [`SpillError::Corrupt`].
-fn decode_row_at(
-    buf: &[u8; SPILL_ROW_BYTES],
-    shared: &SpillShared,
+/// The one run-frame verifier, shared by the merge cursor and checkpoint
+/// loads. Reads the frame at `offset` from `src`: the header (magic; the
+/// row count and checksum must equal `expect`'s when a manifest recorded
+/// them), then every row — its family tag must decode, and the chain
+/// checksum over all rows must equal the header's. A checksum mismatch is
+/// reported before a bad tag, since a flipped byte explains both. `on_row`
+/// sees each row that decoded; on `Err` the caller discards whatever it
+/// collected. Verified payload bytes count toward
+/// [`SpillStats::bytes_verified`].
+fn verify_frame(
+    src: &mut impl FrameSource,
     path: &Path,
     run: usize,
-    row_offset: u64,
-) -> Result<RequestRecord, SpillError> {
-    decode_row(buf).map_err(|tag| {
-        shared.checksum_failures.fetch_add(1, Ordering::Relaxed);
-        SpillError::Corrupt {
-            path: path.to_path_buf(),
-            run,
-            offset: row_offset + 12, // the family-tag byte
-            reason: format!("unknown family tag {tag}"),
+    offset: u64,
+    expect: Option<&RunMeta>,
+    shared: &SpillShared,
+    mut on_row: impl FnMut(&RequestRecord),
+) -> Result<RunMeta, SpillError> {
+    let fail = |at: u64, reason: String| corrupt(shared, path, run, at, reason);
+    let mut hdr = [0u8; RUN_HEADER_BYTES];
+    src.read_exact_at(&mut hdr, run, offset)?;
+    let magic = le_u32(&hdr[0..4]);
+    if magic != RUN_MAGIC {
+        return Err(fail(offset, format!("bad run magic {magic:#010x}")));
+    }
+    let meta = RunMeta {
+        offset,
+        rows: le_u64(&hdr[4..12]),
+        checksum: le_u64(&hdr[12..20]),
+    };
+    if let Some(want) = expect {
+        if meta.rows != want.rows {
+            return Err(fail(
+                offset,
+                format!("header rows {} != manifest rows {}", meta.rows, want.rows),
+            ));
         }
-    })
+        if meta.checksum != want.checksum {
+            return Err(fail(
+                offset,
+                format!(
+                    "header checksum {:#018x} != manifest checksum {:#018x}",
+                    meta.checksum, want.checksum
+                ),
+            ));
+        }
+    }
+    let mut checksum = CHECKSUM_SEED;
+    let mut bad_tag = None;
+    let mut buf = [0u8; SPILL_ROW_BYTES];
+    for row in 0..meta.rows {
+        let row_offset = offset + RUN_HEADER_BYTES as u64 + row * SPILL_ROW_BYTES as u64;
+        src.read_exact_at(&mut buf, run, row_offset)?;
+        checksum = stable_hash64(checksum, &buf);
+        match decode_row(&buf) {
+            Ok(rec) => on_row(&rec),
+            Err(tag) => {
+                bad_tag.get_or_insert((row_offset + 12, tag)); // the family-tag byte
+            }
+        }
+    }
+    if checksum != meta.checksum {
+        return Err(fail(
+            offset,
+            format!(
+                "run checksum mismatch: computed {checksum:#018x}, expected {:#018x}",
+                meta.checksum
+            ),
+        ));
+    }
+    if let Some((at, tag)) = bad_tag {
+        return Err(fail(at, format!("unknown family tag {tag}")));
+    }
+    shared
+        .bytes_verified
+        .fetch_add(meta.rows * SPILL_ROW_BYTES as u64, Ordering::Relaxed);
+    Ok(meta)
 }
 
 /// One run's streaming read cursor for the k-way merge.
 ///
-/// The whole run is **verified before it streams**: `open` makes one
-/// chunked pass over the payload to check the chain checksum (and the
-/// length framing via short-read detection), then rewinds. Records
-/// therefore decode from verified bytes only — corruption can never
-/// reach the columnar encoder, whose intern lookups assume exactly the
-/// keys the shard sinks collected before the rows were written.
-struct RunCursor {
-    reader: FaultedReader,
-    meta: RunMeta,
+/// A file run is **verified before it streams**: `open` makes one
+/// [`verify_frame`] pass over it (checksum, length framing via short-read
+/// detection, row tags), then reopens at the payload. Records therefore
+/// decode from verified bytes only — corruption can never reach the
+/// columnar encoder, whose intern lookups assume exactly the keys
+/// collected before the rows were stored. A run in memory streams
+/// directly: its frame never left the process, or was verified when it
+/// was loaded.
+struct RunCursor<'a> {
+    src: Box<dyn FrameSource + 'a>,
+    path: &'a Path,
+    shared: &'a SpillShared,
     run: usize,
-    row: u64,
-    manifest_path: PathBuf,
-    shared: Arc<SpillShared>,
+    /// Byte offset of the next row.
+    offset: u64,
+    /// Rows not yet read.
+    left: u64,
 }
 
-impl RunCursor {
-    fn open(m: &RunManifest, run: usize) -> Result<Self, SpillError> {
-        let meta = m.runs[run];
-        // Op indices restart per cursor; basing them on the run's row
-        // position keeps fault keying distinct across a file's runs.
-        let op_base = meta.offset / SPILL_ROW_BYTES as u64;
-        let mut reader = FaultedReader::open(&m.path, meta.offset, op_base, Arc::clone(&m.shared))?;
-        reader.read_header(run, &meta)?;
-
-        // Verification pass: fold the chain checksum over the payload in
-        // row-sized steps (bounded buffer, no run is buffered wholesale).
-        let mut checksum = CHECKSUM_SEED;
-        let mut buf = [0u8; SPILL_ROW_BYTES];
-        for row in 0..meta.rows {
-            let row_offset = meta.offset + RUN_HEADER_BYTES as u64 + row * SPILL_ROW_BYTES as u64;
-            reader.read_exact_op(&mut buf, run, row_offset)?;
-            checksum = stable_hash64(checksum, &buf);
-        }
-        if checksum != meta.checksum {
-            m.shared.checksum_failures.fetch_add(1, Ordering::Relaxed);
-            return Err(SpillError::Corrupt {
-                path: m.path.clone(),
-                run,
-                offset: meta.offset,
-                reason: format!(
-                    "run checksum mismatch: computed {checksum:#018x}, expected {:#018x}",
-                    meta.checksum
-                ),
-            });
-        }
-        m.shared
-            .bytes_verified
-            .fetch_add(meta.rows * SPILL_ROW_BYTES as u64, Ordering::Relaxed);
-
-        // Rewind to the payload start for the streaming pass.
-        let reader = FaultedReader::open(
-            &m.path,
-            meta.offset + RUN_HEADER_BYTES as u64,
-            op_base,
-            Arc::clone(&m.shared),
-        )?;
+impl<'a> RunCursor<'a> {
+    fn open(m: &'a RunManifest, run: usize, meta: RunMeta) -> Result<Self, SpillError> {
+        let payload = meta.offset + RUN_HEADER_BYTES as u64;
+        let src: Box<dyn FrameSource + 'a> = match &m.frames {
+            Some(frames) => Box::new(SliceReader {
+                bytes: frames,
+                pos: payload as usize,
+                path: &m.path,
+                shared: &m.shared,
+            }),
+            None => {
+                // Op indices restart per cursor; basing them on the run's
+                // row position keeps fault keying distinct across a file's
+                // runs.
+                let op_base = meta.offset / SPILL_ROW_BYTES as u64;
+                let shared = || Arc::clone(&m.shared);
+                let mut reader = FaultedReader::open(&m.path, meta.offset, op_base, shared())?;
+                verify_frame(
+                    &mut reader,
+                    &m.path,
+                    run,
+                    meta.offset,
+                    Some(&meta),
+                    &m.shared,
+                    |_| {},
+                )?;
+                Box::new(FaultedReader::open(&m.path, payload, op_base, shared())?)
+            }
+        };
         Ok(Self {
-            reader,
-            meta,
+            src,
+            path: &m.path,
+            shared: &m.shared,
             run,
-            row: 0,
-            manifest_path: m.path.clone(),
-            shared: Arc::clone(&m.shared),
+            offset: payload,
+            left: meta.rows,
         })
     }
 
     fn next(&mut self) -> Result<Option<RequestRecord>, SpillError> {
-        if self.row >= self.meta.rows {
+        if self.left == 0 {
             return Ok(None);
         }
-        let row_offset =
-            self.meta.offset + RUN_HEADER_BYTES as u64 + self.row * SPILL_ROW_BYTES as u64;
-        self.row += 1;
+        self.left -= 1;
+        let at = self.offset;
+        self.offset += SPILL_ROW_BYTES as u64;
         let mut buf = [0u8; SPILL_ROW_BYTES];
-        self.reader.read_exact_op(&mut buf, self.run, row_offset)?;
-        decode_row_at(
-            &buf,
-            &self.shared,
-            &self.manifest_path,
-            self.run,
-            row_offset,
-        )
-        .map(Some)
+        self.src.read_exact_at(&mut buf, self.run, at)?;
+        decode_row(&buf).map(Some).map_err(|tag| {
+            corrupt(
+                self.shared,
+                self.path,
+                self.run,
+                at + 12,
+                format!("unknown family tag {tag}"),
+            )
+        })
     }
 }
 
@@ -1116,23 +1268,24 @@ impl RunCursor {
 /// sorted columnar store encoded against shared intern tables.
 ///
 /// Ties pop by global run index (manifest order × run order), which is
-/// exactly the stable tie-break of the in-memory pipeline's sort over the
-/// plan-order concatenation — so the output columns are byte-identical to
-/// the in-memory path. One cursor (file handle + small read buffer) is
-/// open per run; no run is ever re-buffered wholesale. Every run's
-/// framing and checksum are verified as it streams; corruption surfaces
-/// as a typed error, never as silently wrong figures.
+/// exactly the stable tie-break of a sort over the plan-order
+/// concatenation — so the output columns are the same at any run
+/// boundaries and in either byte backend. One cursor is open per run (a
+/// file handle and small read buffer, or a slice of memory); no run is
+/// ever re-buffered wholesale. Every file run's framing and checksum are
+/// verified before it streams; corruption surfaces as a typed error,
+/// never as silently wrong figures.
 pub fn merge_manifests(
     manifests: &[RunManifest],
     tables: &Arc<EntityTables>,
 ) -> Result<ColumnStore, SpillError> {
-    let mut cursors: Vec<RunCursor> = Vec::new();
+    let mut cursors: Vec<RunCursor<'_>> = Vec::new();
     let mut total_rows: usize = 0;
     for m in manifests {
-        for run in 0..m.runs.len() {
-            if m.runs[run].rows > 0 {
-                cursors.push(RunCursor::open(m, run)?);
-                total_rows += m.runs[run].rows as usize;
+        for (run, &meta) in m.runs.iter().enumerate() {
+            if meta.rows > 0 {
+                cursors.push(RunCursor::open(m, run, meta)?);
+                total_rows += meta.rows as usize;
             }
         }
     }
@@ -1157,15 +1310,30 @@ pub fn merge_manifests(
         }
         current.push(front);
     }
-    while let Some(std::cmp::Reverse((_, i))) = heap.pop() {
+    // Replacing the top in place costs one sift per row, not a pop and a
+    // push; the keys are unique, so the pop order is the same. Rows are
+    // encoded in batches: the heap's unpredictable branches would
+    // otherwise stall the intern lookups' cache misses one at a time.
+    let mut batch = Vec::with_capacity(ENCODE_BATCH);
+    while let Some(mut top) = heap.peek_mut() {
+        let std::cmp::Reverse((_, i)) = *top;
         if let Some(r) = current[i].take() {
-            cols.push_encoded(&r, tables);
+            batch.push(r);
+            if batch.len() == ENCODE_BATCH {
+                batch.drain(..).for_each(|r| cols.push_encoded(&r, tables));
+            }
         }
-        if let Some(r) = cursors[i].next()? {
-            heap.push(std::cmp::Reverse((r.ts.secs(), i)));
-            current[i] = Some(r);
+        match cursors[i].next()? {
+            Some(r) => {
+                *top = std::cmp::Reverse((r.ts.secs(), i));
+                current[i] = Some(r);
+            }
+            None => {
+                PeekMut::pop(top);
+            }
         }
     }
+    batch.drain(..).for_each(|r| cols.push_encoded(&r, tables));
     debug_assert_eq!(cols.len(), total_rows);
     Ok(cols)
 }
@@ -1182,104 +1350,71 @@ pub fn merge_into_frozen(
     ))
 }
 
-/// Writes `rows` to `path` as a single checksummed run frame — the
-/// incremental engine's frozen day-delta format.
-///
-/// Unlike [`SegmentWriter`] this writes rows in exactly the given order
-/// (the caller persists the canonical merged day slice, already sorted)
-/// and the whole file is one frame, so a checkpoint day file is
-/// self-describing: magic + row count + chain checksum, then the rows.
-pub fn write_checkpoint_segment(path: &Path, rows: &[RequestRecord]) -> Result<(), SpillError> {
-    let mut frame = Vec::with_capacity(RUN_HEADER_BYTES + rows.len() * SPILL_ROW_BYTES);
-    frame.extend_from_slice(&RUN_MAGIC.to_le_bytes());
-    frame.extend_from_slice(&(rows.len() as u64).to_le_bytes());
-    frame.extend_from_slice(&[0u8; 8]); // checksum patched below
-    let mut buf = [0u8; SPILL_ROW_BYTES];
-    let mut checksum = CHECKSUM_SEED;
-    for r in rows {
-        encode_row(r, &mut buf);
-        checksum = stable_hash64(checksum, &buf);
-        frame.extend_from_slice(&buf);
-    }
-    frame[12..20].copy_from_slice(&checksum.to_le_bytes());
-    let mut f = File::create(path).map_err(|e| SpillError::io(path, IoOp::Create, &e))?;
-    f.write_all(&frame)
-        .map_err(|e| SpillError::io(path, IoOp::Write, &e))?;
-    f.sync_all()
-        .map_err(|e| SpillError::io(path, IoOp::Flush, &e))?;
-    Ok(())
+/// Writes `rows`, in the given order, to `path` as one run frame — the
+/// incremental engine's day-file format, whose rows are a frozen store's
+/// canonical day slice, already sorted. The write is atomic
+/// ([`write_atomic`]).
+pub fn write_checkpoint_segment(
+    path: &Path,
+    rows: impl IntoIterator<Item = RequestRecord>,
+) -> Result<(), SpillError> {
+    let mut frame = Vec::new();
+    encode_frame(&mut frame, rows);
+    write_atomic(path, &frame).map_err(|e| SpillError::io(path, IoOp::Write, &e))
 }
 
-/// Reads one checkpoint day file written by [`write_checkpoint_segment`],
-/// verifying the length framing and chain checksum. Torn, truncated or
-/// padded files surface as [`SpillError::Corrupt`], never as silently
-/// wrong rows.
-pub fn read_checkpoint_segment(path: &Path) -> Result<Vec<RequestRecord>, SpillError> {
-    let corrupt = |offset: u64, reason: String| SpillError::Corrupt {
-        path: path.to_path_buf(),
-        run: 0,
-        offset,
-        reason,
+/// Replaces `path` with `bytes` crash-safely: the bytes go to a
+/// temporary sibling (`<name>.tmp`), are synced, then renamed over
+/// `path`, so a reader sees the old file or the whole new one, never a
+/// torn one.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut f = File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    std::fs::rename(&tmp, path)
+}
+
+/// Loads one checkpoint day file as an in-memory run, checking it with
+/// the verifier the merge uses while collecting the intern keys of its
+/// rows. A torn, padded or flipped file surfaces as
+/// [`SpillError::Corrupt`] naming the file, never as silently wrong rows.
+pub fn load_checkpoint_segment(path: &Path) -> Result<(RunManifest, KeyCollector), SpillError> {
+    let bytes = std::fs::read(path).map_err(|e| SpillError::io(path, IoOp::Read, &e))?;
+    let shared = Arc::new(SpillShared::default());
+    let mut keys = KeyCollector::new();
+    let mut src = SliceReader {
+        bytes: &bytes,
+        pos: 0,
+        path,
+        shared: &shared,
     };
-    let file = File::open(path).map_err(|e| SpillError::io(path, IoOp::Open, &e))?;
-    let file_len = file
-        .metadata()
-        .map_err(|e| SpillError::io(path, IoOp::Open, &e))?
-        .len();
-    let mut reader = BufReader::new(file);
-    let read_err = |e: std::io::Error, offset: u64| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            corrupt(offset, "unexpected end of file (torn write?)".into())
-        } else {
-            SpillError::io(path, IoOp::Read, &e)
-        }
-    };
-    let mut hdr = [0u8; RUN_HEADER_BYTES];
-    reader.read_exact(&mut hdr).map_err(|e| read_err(e, 0))?;
-    let magic = le_u32(&hdr[0..4]);
-    if magic != RUN_MAGIC {
-        return Err(corrupt(0, format!("bad run magic {magic:#010x}")));
-    }
-    let rows = le_u64(&hdr[4..12]);
-    let expected_checksum = le_u64(&hdr[12..20]);
-    // Validate the framed length against the file before trusting the
-    // header's row count with an allocation.
-    let framed_len = RUN_HEADER_BYTES as u128 + rows as u128 * SPILL_ROW_BYTES as u128;
-    if framed_len != u128::from(file_len) {
+    let meta = verify_frame(&mut src, path, 0, 0, None, &shared, |r| keys.add(r))?;
+    let end = src.pos;
+    if end != bytes.len() {
         return Err(corrupt(
-            4,
-            format!("header claims {rows} rows ({framed_len} bytes) but file is {file_len} bytes"),
-        ));
-    }
-    let mut out = Vec::with_capacity(rows as usize);
-    let mut buf = [0u8; SPILL_ROW_BYTES];
-    let mut checksum = CHECKSUM_SEED;
-    for row in 0..rows {
-        let row_offset = RUN_HEADER_BYTES as u64 + row * SPILL_ROW_BYTES as u64;
-        reader
-            .read_exact(&mut buf)
-            .map_err(|e| read_err(e, row_offset))?;
-        checksum = stable_hash64(checksum, &buf);
-        let rec = decode_row(&buf)
-            .map_err(|tag| corrupt(row_offset + 12, format!("unknown family tag {tag}")))?;
-        out.push(rec);
-    }
-    if checksum != expected_checksum {
-        return Err(corrupt(
+            &shared,
+            path,
             0,
-            format!(
-                "run checksum mismatch: computed {checksum:#018x}, expected \
-                 {expected_checksum:#018x}"
-            ),
+            end as u64,
+            format!("{} bytes past the end of the frame", bytes.len() - end),
         ));
     }
-    Ok(out)
+    keys.compact();
+    let manifest = RunManifest {
+        path: path.to_path_buf(),
+        frames: Some(Arc::new(bytes)),
+        runs: vec![meta],
+        shared,
+    };
+    Ok((manifest, keys))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::RequestStore;
     use crate::time::SimDate;
 
     fn rec(user: u64, sec: u32, ip: &str) -> RequestRecord {
@@ -1320,11 +1455,34 @@ mod tests {
         assert_eq!(decode_row(&buf), Err(9));
     }
 
+    /// The rows of a one-run manifest, in stored order, through the merge
+    /// cursor (no timestamp order required).
+    fn run_rows(m: &RunManifest) -> Vec<RequestRecord> {
+        let mut cursor = RunCursor::open(m, 0, m.runs[0]).unwrap();
+        std::iter::from_fn(|| cursor.next().unwrap()).collect()
+    }
+
+    /// A scratch directory removed on drop.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("ipv6-run-{tag}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            Self(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn checkpoint_segment_round_trips_in_order() {
-        let dir = std::env::temp_dir().join(format!("ipv6-ckpt-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("day-roundtrip.seg");
+        let dir = TempDir::new("ckpt-roundtrip");
+        let path = dir.0.join("day-roundtrip.seg");
         // Deliberately NOT timestamp-sorted: the checkpoint codec must
         // preserve the caller's order exactly.
         let rows = vec![
@@ -1332,57 +1490,105 @@ mod tests {
             rec(1, 0, "10.0.0.1"),
             rec(2, 9, "2001:db8::2"),
         ];
-        write_checkpoint_segment(&path, &rows).unwrap();
-        assert_eq!(read_checkpoint_segment(&path).unwrap(), rows);
+        write_checkpoint_segment(&path, rows.iter().copied()).unwrap();
+        let (m, keys) = load_checkpoint_segment(&path).unwrap();
+        assert_eq!(run_rows(&m), rows);
+        assert_eq!(keys.into_tables(), EntityTables::from_records(&rows));
+        assert!(
+            !dir.0.join("day-roundtrip.seg.tmp").exists(),
+            "temp renamed away"
+        );
 
-        write_checkpoint_segment(&path, &[]).unwrap();
-        assert_eq!(read_checkpoint_segment(&path).unwrap(), Vec::new());
-        std::fs::remove_dir_all(&dir).unwrap();
+        write_checkpoint_segment(&path, []).unwrap();
+        let (m, keys) = load_checkpoint_segment(&path).unwrap();
+        assert_eq!(m.rows(), 0);
+        assert_eq!(keys.into_tables(), EntityTables::default());
     }
 
+    /// A checkpoint day file is exactly one run frame, byte-for-byte what
+    /// earlier releases wrote: these constants were computed with the
+    /// original checkpoint writer, so state dirs it produced stay
+    /// readable.
     #[test]
-    fn checkpoint_segment_detects_corruption_truncation_and_padding() {
-        let dir = std::env::temp_dir().join(format!("ipv6-ckpt-chaos-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("day-corrupt.seg");
-        let rows = vec![rec(1, 0, "10.0.0.1"), rec(2, 1, "2001:db8::2")];
-        write_checkpoint_segment(&path, &rows).unwrap();
+    fn checkpoint_frame_bytes_are_pinned() {
+        let dir = TempDir::new("ckpt-pin");
+        let path = dir.0.join("pin.seg");
+        let rows = [
+            rec(3, 9, "2001:db8::3"),
+            rec(1, 0, "10.0.0.1"),
+            rec(2, 9, "2001:db8::2"),
+            rec(u64::MAX, 86_399, "255.255.255.255"),
+        ];
+        write_checkpoint_segment(&path, rows).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), RUN_HEADER_BYTES + 4 * SPILL_ROW_BYTES);
+        assert_eq!(
+            le_u64(&bytes[12..20]),
+            0x2645_7182_64db_44ee,
+            "chain checksum"
+        );
+        assert_eq!(
+            stable_hash64(0, &bytes),
+            0xac34_e9fb_e596_1d6d,
+            "frame bytes"
+        );
+        // The in-memory thaw encodes the same frame.
+        let thawed = RunManifest::from_rows("pin", rows);
+        assert_eq!(thawed.frames.as_deref(), Some(&bytes));
+    }
+
+    /// Every verification failure of a checkpoint load is a typed
+    /// `Corrupt` naming the file — torn, padded, flipped, bad magic, bad
+    /// tag — from the same verifier the merge cursor uses.
+    #[test]
+    fn checkpoint_load_detects_torn_padded_flipped_and_bad_tags() {
+        let dir = TempDir::new("ckpt-chaos");
+        let path = dir.0.join("day-corrupt.seg");
+        let rows = [rec(1, 0, "10.0.0.1"), rec(2, 1, "2001:db8::2")];
+        write_checkpoint_segment(&path, rows).unwrap();
         let good = std::fs::read(&path).unwrap();
+        let reason_of = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            match load_checkpoint_segment(&path).unwrap_err() {
+                SpillError::Corrupt {
+                    path: at, reason, ..
+                } => {
+                    assert_eq!(at, path);
+                    reason
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        };
 
-        // Flipped payload byte -> checksum mismatch.
-        let mut bad = good.clone();
-        bad[RUN_HEADER_BYTES + 3] ^= 0xA5;
-        std::fs::write(&path, &bad).unwrap();
-        match read_checkpoint_segment(&path).unwrap_err() {
-            SpillError::Corrupt { reason, .. } => assert!(reason.contains("checksum mismatch")),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
+        let mut flipped = good.clone();
+        flipped[RUN_HEADER_BYTES + 3] ^= 0xA5;
+        assert!(reason_of(&flipped).contains("checksum mismatch"));
 
-        // Torn write -> length framing failure, not an allocation guess.
-        std::fs::write(&path, &good[..good.len() - 7]).unwrap();
-        match read_checkpoint_segment(&path).unwrap_err() {
-            SpillError::Corrupt { reason, .. } => assert!(reason.contains("but file is")),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
+        assert!(reason_of(&good[..good.len() - 7]).contains("torn write"));
 
-        // Trailing garbage is also a framing failure.
         let mut padded = good.clone();
         padded.extend_from_slice(&[0u8; 5]);
-        std::fs::write(&path, &padded).unwrap();
-        assert!(matches!(
-            read_checkpoint_segment(&path).unwrap_err(),
-            SpillError::Corrupt { .. }
-        ));
+        assert!(reason_of(&padded).contains("5 bytes past the end"));
 
-        // Bad magic.
         let mut bad_magic = good.clone();
         bad_magic[0] ^= 0xFF;
-        std::fs::write(&path, &bad_magic).unwrap();
-        match read_checkpoint_segment(&path).unwrap_err() {
-            SpillError::Corrupt { reason, .. } => assert!(reason.contains("bad run magic")),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(reason_of(&bad_magic).contains("bad run magic"));
+
+        // A bad tag under a re-sealed checksum: the tag check must catch
+        // it, at the tag byte.
+        let mut bad_tag = good.clone();
+        bad_tag[RUN_HEADER_BYTES + SPILL_ROW_BYTES + 12] = 9;
+        let checksum = bad_tag[RUN_HEADER_BYTES..]
+            .chunks(SPILL_ROW_BYTES)
+            .fold(CHECKSUM_SEED, stable_hash64);
+        bad_tag[12..20].copy_from_slice(&checksum.to_le_bytes());
+        assert!(reason_of(&bad_tag).contains("unknown family tag 9"));
+
+        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(
+            load_checkpoint_segment(&path).unwrap_err(),
+            SpillError::Io { op: IoOp::Read, .. }
+        ));
     }
 
     /// An on-disk bad tag reports path + run index + byte offset through
@@ -1507,18 +1713,15 @@ mod tests {
         assert_eq!(manifests[0].run_count(), 2);
         assert_eq!(manifests[0].rows(), 5);
 
-        // Reference: the in-memory pipeline (concatenate in plan order,
-        // stable sort).
-        let mut reference = RequestStore::new();
-        for &r in shard_a.iter().chain(shard_b.iter()) {
-            reference.push(r);
-        }
+        // Reference: concatenate in plan order, then std's stable sort.
+        let mut reference: Vec<RequestRecord> = shard_a.iter().chain(&shard_b).copied().collect();
+        reference.sort_by_key(|r| r.ts);
 
-        let tables = tables_of(reference.all());
+        let tables = tables_of(&reference);
         let frozen = merge_into_frozen(&manifests, &tables).unwrap();
         assert_eq!(
             frozen.all().records().collect::<Vec<_>>(),
-            reference.all(),
+            reference,
             "k-way merge must equal the stable concatenation sort"
         );
         // Spill-built columns are exactly sized (the bytes() contract).
@@ -1526,6 +1729,57 @@ mod tests {
         // The merge's one verified read pass counted every payload byte.
         assert_eq!(session.stats().bytes_verified, 7 * SPILL_ROW_BYTES as u64);
         assert_eq!(session.stats().checksum_failures, 0);
+    }
+
+    /// The memory backend keeps its frames in memory — no files, no
+    /// storage counters — and merges to exactly the file backend's
+    /// columns, at any run boundaries.
+    #[test]
+    fn memory_backend_matches_the_file_backend() {
+        let records: Vec<RequestRecord> = (0..40u64)
+            .map(|i| {
+                let ip = if i % 3 == 0 {
+                    "10.0.0.1"
+                } else {
+                    "2001:db8::1"
+                };
+                rec(i % 7, (i * 7 % 11) as u32, ip)
+            })
+            .collect();
+        let merge = |session: &SpillSession, segment_rows: usize| {
+            let manifests: Vec<RunManifest> = records
+                .chunks(15)
+                .enumerate()
+                .map(|(shard, chunk)| {
+                    let mut w = session.writer(shard, 0, "request", segment_rows);
+                    for &r in chunk {
+                        w.push(r).unwrap();
+                    }
+                    w.finish().unwrap();
+                    w.into_manifest()
+                })
+                .collect();
+            merge_manifests(&manifests, &tables_of(&records)).unwrap()
+        };
+        let file = SpillSession::create(None).unwrap();
+        let memory = SpillSession::in_memory();
+        assert!(memory.dir().is_none());
+        let expected = merge(&file, 4);
+        assert_eq!(merge(&memory, usize::MAX), expected);
+        assert_eq!(merge(&memory, 4), expected);
+        assert_eq!(memory.stats(), SpillStats::default());
+
+        // The gauge unit: staged rows at 40 bytes, then the frame.
+        let mut w = memory.writer(0, 0, "user", usize::MAX);
+        for &r in &records[..10] {
+            w.push(r).unwrap();
+        }
+        let row = std::mem::size_of::<RequestRecord>() as u64;
+        assert_eq!(w.live_bytes(), 10 * row);
+        w.finish().unwrap();
+        let frame = (RUN_HEADER_BYTES + 10 * SPILL_ROW_BYTES) as u64;
+        assert_eq!(w.live_bytes(), frame);
+        assert_eq!(w.into_manifest().run_count(), 1);
     }
 
     /// Empty manifests (zero-record shards) pass cleanly through the
@@ -1682,7 +1936,7 @@ mod tests {
         let dir;
         {
             let session = SpillSession::create(Some(&parent)).unwrap();
-            dir = session.dir().to_path_buf();
+            dir = session.dir().unwrap().to_path_buf();
             let mut a0 = session.writer(3, 0, "pair", 2);
             a0.push(rec(1, 0, "10.0.0.1")).unwrap();
             a0.finish().unwrap();
@@ -1711,7 +1965,10 @@ mod tests {
         w.finish().unwrap();
         let m = w.into_manifest();
         assert_eq!(m.rows(), 0);
-        assert_eq!(std::fs::read_dir(session.dir()).unwrap().count(), 0);
+        assert_eq!(
+            std::fs::read_dir(session.dir().unwrap()).unwrap().count(),
+            0
+        );
         // Merging nothing is an empty store.
         let tables = Arc::new(EntityTables::default());
         assert!(merge_manifests(&[m], &tables).unwrap().is_empty());

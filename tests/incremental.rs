@@ -6,14 +6,15 @@
 //! windows cover the new days.
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use ipv6_user_study::experiments::run_all;
 use ipv6_user_study::stats::hash::StableHasher;
 use ipv6_user_study::stats::TestGen;
 use ipv6_user_study::telemetry::{ColumnSlice, IpTable, UserTable};
 use ipv6_user_study::{
-    incremental, report, ConfigError, StorageMode, Study, StudyConfig, StudyError,
+    incremental, report, ConfigError, FailurePolicy, FaultInjector, SpillError, StorageMode, Study,
+    StudyConfig, StudyError,
 };
 
 /// Order-sensitive digest of a record sequence.
@@ -359,4 +360,103 @@ fn state_dir_rejects_mismatched_config_and_backward_runs() {
         matches!(err, StudyError::Config(ConfigError::Storage(ref msg)) if msg.contains("forward")),
         "got {err}"
     );
+}
+
+/// The EXPERIMENTS.md a from-scratch run of `cfg` renders.
+fn scratch_markdown(cfg: StudyConfig) -> String {
+    let mut study = Study::run(cfg).expect("scratch run");
+    report::render_markdown(&run_all(&mut study))
+}
+
+/// One family's day file in a state dir.
+fn day_file(state: &Path, cfg: &StudyConfig, family: &str) -> PathBuf {
+    let day = cfg.sim_range().start;
+    state
+        .join("days")
+        .join(format!("day{:03}", day.index()))
+        .join(format!("{family}.seg"))
+}
+
+/// A run that dropped a shard under `Degrade` holds partial rows, so it
+/// must not checkpoint them: the state dir's identity echo cannot tell a
+/// degraded run from a clean one, and a later clean run would resume
+/// from the partial deltas.
+#[test]
+fn degraded_runs_write_nothing_to_the_state_dir() {
+    let state = ScopedDir::new("degraded");
+    let mut degraded = StudyConfig::tiny();
+    degraded.failure_policy = FailurePolicy::Degrade;
+    degraded.max_shard_retries = 1;
+    degraded.faults = Some(FaultInjector::new().always_fail_shard(0));
+    let run = incremental::run(degraded, &state.0).expect("degrade completes");
+    assert_eq!(
+        run.study.faults().dropped_count(),
+        1,
+        "the caller gets the run"
+    );
+    assert!(!state.0.join("manifest.json").exists(), "nothing committed");
+
+    let clean = incremental::run(StudyConfig::tiny(), &state.0).expect("clean run");
+    assert_eq!(clean.stats.days_reused, 0, "nothing to resume from");
+    assert_eq!(clean.markdown, scratch_markdown(StudyConfig::tiny()));
+}
+
+/// A save killed mid-write leaves a torn day file and no commit point;
+/// the next (cold) run must rewrite it rather than commit it, so a later
+/// resume still matches a from-scratch run.
+#[test]
+fn a_torn_day_file_without_a_commit_point_is_rewritten() {
+    let state = ScopedDir::new("torn");
+    let cfg = StudyConfig::tiny();
+    let _ = incremental::run(cfg.clone(), &state.0).expect("cold run");
+    let torn = day_file(&state.0, &cfg, "user");
+    let bytes = std::fs::read(&torn).expect("day file");
+    std::fs::write(&torn, &bytes[..bytes.len() / 2]).expect("tear");
+    std::fs::remove_file(state.0.join("manifest.json")).expect("uncommit");
+
+    let cold = incremental::run(cfg.clone(), &state.0).expect("cold rerun");
+    assert_eq!(cold.stats.days_reused, 0);
+    assert_eq!(std::fs::read(&torn).expect("rewritten"), bytes);
+
+    let mut ext = cfg;
+    ext.extend_days = 1;
+    let warm = incremental::run(ext.clone(), &state.0).expect("warm +1");
+    assert_eq!(warm.stats.days_computed, 1);
+    assert_eq!(warm.markdown, scratch_markdown(ext));
+    let leftovers: Vec<PathBuf> = std::fs::read_dir(torn.parent().expect("day dir"))
+        .expect("day dir")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "tmp"))
+        .collect();
+    assert!(
+        leftovers.is_empty(),
+        "temp files renamed away: {leftovers:?}"
+    );
+}
+
+/// A flipped byte in a committed day file is a typed `Corrupt` error
+/// naming that file — detected by the load's verifier, never a panic and
+/// never silently wrong rows.
+#[test]
+fn a_flipped_day_file_byte_is_a_typed_corrupt_error() {
+    let state = ScopedDir::new("flipped");
+    let cfg = StudyConfig::tiny();
+    let _ = incremental::run(cfg.clone(), &state.0).expect("cold run");
+    let flipped = day_file(&state.0, &cfg, "request");
+    let mut bytes = std::fs::read(&flipped).expect("day file");
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xA5;
+    std::fs::write(&flipped, &bytes).expect("flip");
+
+    let mut ext = cfg;
+    ext.extend_days = 1;
+    match incremental::run(ext, &state.0) {
+        Err(StudyError::Spill(SpillError::Corrupt { path, reason, .. })) => {
+            assert_eq!(path, flipped);
+            assert!(reason.contains("checksum mismatch"), "{reason}");
+        }
+        Err(other) => panic!("expected a Corrupt error, got {other}"),
+        Ok(_) => panic!("the flipped byte went unnoticed"),
+    }
 }
