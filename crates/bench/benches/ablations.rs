@@ -2,6 +2,8 @@
 //! shapes move (the design-choice attributions of DESIGN.md §5a), then
 //! benchmark a full tiny-study simulation per ablation.
 
+use std::time::Instant;
+
 use ipv6_study_core::{experiments, Ablation, AnalysisCtx, Study, StudyConfig};
 
 fn config(ablation: Ablation) -> StudyConfig {
@@ -32,7 +34,38 @@ fn main() {
         );
     }
 
-    ipv6_study_bench::time_fn("tiny_study_simulation", 10, || {
+    time_fn("tiny_study_simulation", 10, || {
         Study::run(config(Ablation::Baseline)).expect("valid preset")
     });
+}
+
+/// Times `f` over `samples` iterations (after one warm-up call) and prints
+/// a one-line min/mean/max summary.
+fn time_fn<R>(name: &str, samples: u32, mut f: impl FnMut() -> R) {
+    std::hint::black_box(f()); // warm-up
+    let mut times = Vec::with_capacity(samples as usize);
+    for _ in 0..samples {
+        let t0 = Instant::now();
+        std::hint::black_box(f());
+        times.push(t0.elapsed().as_secs_f64());
+    }
+    let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
+    let max = times.iter().cloned().fold(0.0f64, f64::max);
+    let mean = times.iter().sum::<f64>() / f64::from(samples);
+    println!(
+        "bench {name:40} min {:>9} mean {:>9} max {:>9}",
+        fmt_s(min),
+        fmt_s(mean),
+        fmt_s(max)
+    );
+}
+
+fn fmt_s(secs: f64) -> String {
+    if secs < 1e-3 {
+        format!("{:.1}µs", secs * 1e6)
+    } else if secs < 1.0 {
+        format!("{:.2}ms", secs * 1e3)
+    } else {
+        format!("{secs:.3}s")
+    }
 }

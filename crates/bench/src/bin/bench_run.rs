@@ -18,9 +18,10 @@
 //! and sampling plan, and carries `sim.peak_store_bytes` — the number
 //! `--storage spill` keeps flat as `--households` grows. With
 //! `--state-dir DIR` the run goes through the incremental engine
-//! (DESIGN.md §14) and the schema-v7 `analysis.incremental` section
-//! reports how many days were reused vs computed and the extension wall
-//! (`extend_wall_secs`) — the number `bench_diff --max-extend-secs` gates.
+//! (DESIGN.md §14) and the `analysis.incremental` section reports how
+//! many days were reused vs computed and the extension wall
+//! (`extend_wall_secs`) — the number the incremental CI lane's
+//! `bench_diff` `max` gate bounds.
 
 use ipv6_study_bench::cli::{usage_exit, CommonArgs};
 use ipv6_study_core::experiments::run_all;

@@ -1,89 +1,10 @@
-//! Shared harness for the per-figure benchmark targets.
+//! The benchmark and reproduction binaries' shared code: the command-line
+//! parsing `repro` and `bench_run` share ([`cli`]).
 //!
-//! Every bench target regenerates one of the paper's tables or figures:
-//! it prints the measured rows/series once (the reproduction artifact),
-//! then times the analysis pass itself with a small std-only loop
-//! (`std::time::Instant`; no external benchmark framework so the
-//! workspace builds fully offline). The simulated study — and the shared
-//! [`AnalysisCtx`] with its pre-built dataset indexes — is built once per
-//! process and shared read-only.
-
-use std::sync::OnceLock;
-use std::time::Instant;
-
-use ipv6_study_core::{AnalysisCtx, Study, StudyConfig};
+//! The binaries are `repro` (renders every table and figure),
+//! `bench_run` (writes the run report, which times every pass) and
+//! `bench_kernels` (the columnar-kernel microbenchmarks). The one
+//! `cargo bench` target, `ablations`, prints the DESIGN.md §5a
+//! mechanism-attribution table.
 
 pub mod cli;
-
-/// The shared study (test scale: fast enough for bench startup, dense
-/// enough for every figure to be populated).
-pub fn study() -> &'static Study {
-    static STUDY: OnceLock<Study> = OnceLock::new();
-    STUDY.get_or_init(|| Study::run(StudyConfig::test_scale()).expect("valid preset"))
-}
-
-/// The shared analysis context over [`study`] (indexes built once).
-pub fn ctx() -> &'static AnalysisCtx<'static> {
-    static CTX: OnceLock<AnalysisCtx<'static>> = OnceLock::new();
-    CTX.get_or_init(|| AnalysisCtx::new(study()))
-}
-
-/// Prints an experiment's artifacts (figures as sampled series, tables as
-/// aligned text, stats as a list) — the paper-facing output of the bench.
-pub fn print_output(id: &str, out: &ipv6_study_core::ExperimentOutput) {
-    println!("================ {id} ================");
-    for t in &out.tables {
-        println!("{}", t.to_text());
-    }
-    for f in &out.figures {
-        println!("{}", f.to_text(12));
-    }
-    for (k, v) in &out.stats {
-        println!("  {k:45} {v:.4}");
-    }
-}
-
-/// Times `f` over `samples` iterations (after one warm-up call) and prints
-/// a one-line min/mean/max summary. Returns the mean in seconds.
-pub fn time_fn<R>(name: &str, samples: u32, mut f: impl FnMut() -> R) -> f64 {
-    std::hint::black_box(f()); // warm-up
-    let mut times = Vec::with_capacity(samples as usize);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        times.push(t0.elapsed().as_secs_f64());
-    }
-    let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = times.iter().cloned().fold(0.0f64, f64::max);
-    let mean = times.iter().sum::<f64>() / f64::from(samples);
-    println!(
-        "bench {name:40} min {:>9} mean {:>9} max {:>9}",
-        fmt_s(min),
-        fmt_s(mean),
-        fmt_s(max)
-    );
-    mean
-}
-
-fn fmt_s(secs: f64) -> String {
-    if secs < 1e-3 {
-        format!("{:.1}µs", secs * 1e6)
-    } else if secs < 1.0 {
-        format!("{:.2}ms", secs * 1e3)
-    } else {
-        format!("{secs:.3}s")
-    }
-}
-
-/// Declares a bench target for one experiment function.
-#[macro_export]
-macro_rules! bench_experiment {
-    ($name:ident, $id:literal, $func:path) => {
-        fn main() {
-            let ctx = $crate::ctx();
-            let out = $func(ctx);
-            $crate::print_output($id, &out);
-            $crate::time_fn(concat!(stringify!($name), "_analysis"), 10, || $func(ctx));
-        }
-    };
-}

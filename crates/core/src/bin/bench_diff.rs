@@ -1,68 +1,144 @@
-//! Compares two `BENCH_run.json` documents and fails on analysis-wall
-//! regressions — the CI perf gate for the parallel analysis engine.
+//! Compares two `BENCH_run.json` documents against gate rules — the CI
+//! perf gate.
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run --release -p ipv6-study-core --bin bench_diff -- \
-//!     baseline.json current.json [--max-regression PCT] \
-//!     [--max-memory-regression PCT] [--max-peak-regression PCT]
+//!     baseline.json current.json [--gate 'PATH OP BOUND [FLOOR]']...
 //! ```
 //!
-//! Prints a per-figure wall-clock diff plus the engine phase walls, then
-//! exits 1 when the current total analysis wall exceeds the baseline by
-//! more than `--max-regression` percent (default 25) *and* by more than
-//! an absolute noise floor (50ms) — so sub-noise blips on tiny baselines
-//! never fail CI. With `--max-memory-regression`, also gates the frozen
-//! store footprint (`sim.store_bytes`, a schema-v2 field): deterministic
-//! byte counts get no noise floor, any growth past the budget fails.
-//! `--max-peak-regression` gates `sim.peak_store_bytes` (schema v3) the
-//! same way — CI uses it to prove a spill run's sim-phase peak memory
-//! stays flat even when the current run simulates orders of magnitude
-//! more households than the baseline. The Figure-11 trie sweep's
-//! `actioning_sweep.total_wall_secs` (schema v4) is gated automatically
-//! under the same percentage budget and noise floor whenever both
-//! documents carry it. `sim.spill_bytes_verified` (schema v5) is diffed
-//! informationally — printed when both documents carry it, skipped with
-//! a notice against pre-v5 baselines, never a failure.
+//! `PATH` is a dotted path of object keys into the report (for example
+//! `analysis.phases.total`), and `OP` is one of:
 //!
-//! Schema v6 adds **absolute throughput targets**, gated on the current
-//! document alone (no baseline comparison, hence no noise floor — the
-//! floor itself encodes the noise margin, see `.github/workflows/ci.yml`):
-//! `--min-records-per-sec N` fails when `analysis.records_per_sec`
-//! (records scanned per second of engine total wall) is below `N`, and
-//! `--max-analysis-total-secs S` fails when `analysis.phases.total`
-//! exceeds `S` seconds. Either flag against a document missing its field
-//! (pre-v6) is a hard failure — a lane that asks for a target must be
-//! able to measure it.
+//! - `rel PCT [FLOOR]` — fails when the current value exceeds the
+//!   baseline by more than `PCT` percent *and* by more than `FLOOR`
+//!   (absolute, in the path's own unit; default 0), so sub-noise blips
+//!   on tiny timing baselines never fail. Byte counts are deterministic
+//!   and take no floor.
+//! - `max BOUND` — fails when the current value exceeds `BOUND`.
+//! - `min BOUND` — fails when the current value is below `BOUND`.
 //!
-//! Schema v7 adds the incremental-engine gate: `--max-extend-secs S`
-//! fails when `analysis.incremental.extend_wall_secs` — the wall of a
-//! whole `--state-dir` resume (delta rebuild + suffix sim + selective
-//! re-analysis + checkpoint refresh) — exceeds `S` seconds. Like the
-//! other absolute targets it gates the current document alone with no
-//! noise floor, and is a hard failure against a document missing the
-//! field (pre-v7 schema). The day-reuse split
-//! (`days_reused`/`days_computed`) is printed alongside whenever the
-//! section is present.
-//! Exit 2 means bad usage or an unreadable document.
-//! Timing comparisons only make sense between runs of the same scale and
-//! machine class; CI diffs a fresh run against the committed baseline.
+//! No gate applies by default; a CI lane lists every gate it wants, with
+//! the margin behind each bound documented next to it in
+//! `.github/workflows/ci.yml`. A path missing from either document, or a
+//! `rel` gate over a zero baseline, fails its gate. Output is the
+//! per-figure analysis wall diff, one line per gate, and the incremental
+//! engine's day-reuse split.
+//!
+//! Exit 0 when every gate passes, 1 when any fails, 2 on bad usage (a
+//! malformed gate, including a non-finite bound or floor) or an
+//! unreadable document. Timing comparisons only make sense between runs
+//! of the same scale and machine class.
 
 use ipv6_study_obs::Json;
 
-/// Regressions smaller than this many seconds are noise, never failures.
-const NOISE_FLOOR_SECS: f64 = 0.05;
+const USAGE: &str = "usage: bench_diff <baseline.json> <current.json> \
+                     [--gate 'PATH rel PCT [FLOOR]' | 'PATH max BOUND' | 'PATH min BOUND']...";
 
 fn usage_exit(msg: &str) -> ! {
     eprintln!("{msg}");
-    eprintln!(
-        "usage: bench_diff <baseline.json> <current.json> \
-         [--max-regression PCT] [--max-memory-regression PCT] \
-         [--max-peak-regression PCT] [--min-records-per-sec N] \
-         [--max-analysis-total-secs S] [--max-extend-secs S]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
+}
+
+/// What a gate compares, with its bound.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Op {
+    /// Growth over the baseline, in percent, past an absolute floor.
+    Rel { pct: f64, floor: f64 },
+    /// Ceiling on the current value.
+    Max(f64),
+    /// Floor on the current value.
+    Min(f64),
+}
+
+/// One gate rule: a report path and the check applied to it.
+#[derive(Debug, Clone, PartialEq)]
+struct Gate {
+    path: String,
+    op: Op,
+}
+
+/// A finite number, or an error naming the field.
+fn finite(field: &str, text: &str) -> Result<f64, String> {
+    match text.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(v),
+        _ => Err(format!("{field} `{text}` is not a finite number")),
+    }
+}
+
+impl Gate {
+    /// Parses `PATH OP BOUND [FLOOR]`; only `rel` takes a floor.
+    fn parse(spec: &str) -> Result<Gate, String> {
+        let fields: Vec<&str> = spec.split_whitespace().collect();
+        let op = match fields.as_slice() {
+            [_, "rel", pct] | [_, "rel", pct, _] => {
+                let pct = finite("percentage", pct)?;
+                if pct < 0.0 {
+                    return Err(format!("rel percentage {pct} is negative"));
+                }
+                let floor = match fields.get(3) {
+                    Some(text) => finite("floor", text)?,
+                    None => 0.0,
+                };
+                if floor < 0.0 {
+                    return Err(format!("rel floor {floor} is negative"));
+                }
+                Op::Rel { pct, floor }
+            }
+            [_, "max", bound] => Op::Max(finite("bound", bound)?),
+            [_, "min", bound] => Op::Min(finite("bound", bound)?),
+            [_, "rel" | "max" | "min", ..] => {
+                return Err(format!(
+                    "gate `{spec}` needs PATH rel PCT [FLOOR], PATH max BOUND or PATH min BOUND"
+                ))
+            }
+            [_, op, ..] => return Err(format!("unknown gate op `{op}` in `{spec}`")),
+            _ => return Err(format!("gate `{spec}` needs at least PATH OP BOUND")),
+        };
+        Ok(Gate {
+            path: fields[0].to_string(),
+            op,
+        })
+    }
+
+    /// The rule as written, e.g. `rel 25% past 0.05` or `max 0.89`.
+    fn rule(&self) -> String {
+        match self.op {
+            Op::Rel { pct, floor } if floor > 0.0 => format!("rel {pct}% past {floor}"),
+            Op::Rel { pct, .. } => format!("rel {pct}%"),
+            Op::Max(bound) => format!("max {bound}"),
+            Op::Min(bound) => format!("min {bound}"),
+        }
+    }
+
+    /// Evaluates the gate: whether it passes, and its report line.
+    fn check(&self, baseline: &Json, current: &Json) -> (bool, String) {
+        let head = format!("{} ({})", self.path, self.rule());
+        let (base, cur) = match (
+            number_at(baseline, &self.path),
+            number_at(current, &self.path),
+        ) {
+            (Some(base), Some(cur)) => (base, cur),
+            (None, _) => return (false, format!("{head}: missing from the baseline")),
+            (_, None) => return (false, format!("{head}: missing from the current run")),
+        };
+        let values = format!("{base} -> {cur}");
+        match self.op {
+            Op::Rel { pct, floor } => {
+                if base <= 0.0 {
+                    let line = format!("{head}: {values}, baseline is not positive");
+                    return (false, line);
+                }
+                let growth = 100.0 * (cur - base) / base;
+                let pass = !(growth > pct && cur - base > floor);
+                (pass, format!("{head}: {values} ({growth:+.1}%)"))
+            }
+            Op::Max(bound) => (cur <= bound, format!("{head}: {values}")),
+            Op::Min(bound) => (cur >= bound, format!("{head}: {values}")),
+        }
+    }
 }
 
 fn load(path: &str) -> Json {
@@ -93,16 +169,6 @@ fn number_at(doc: &Json, path: &str) -> Option<f64> {
     lookup(doc, path).and_then(as_f64)
 }
 
-/// The run's total analysis wall: the engine's `analysis.phases.total`
-/// when present, else the summed per-figure `analysis.total_wall_secs`
-/// (pre-engine documents).
-fn total_analysis_wall(doc: &Json) -> Option<f64> {
-    match number_at(doc, "analysis.phases.total") {
-        Some(t) if t > 0.0 => Some(t),
-        _ => number_at(doc, "analysis.total_wall_secs"),
-    }
-}
-
 /// Per-figure `(id, wall_secs)` pairs from `analysis.figures`.
 fn figure_walls(doc: &Json) -> Vec<(String, f64)> {
     let Some(Json::Arr(figures)) = lookup(doc, "analysis.figures") else {
@@ -120,75 +186,10 @@ fn figure_walls(doc: &Json) -> Vec<(String, f64)> {
         .collect()
 }
 
-fn main() {
-    let mut paths = Vec::new();
-    let mut max_regression_pct = 25.0;
-    let mut max_memory_regression_pct: Option<f64> = None;
-    let mut max_peak_regression_pct: Option<f64> = None;
-    let mut min_records_per_sec: Option<f64> = None;
-    let mut max_analysis_total_secs: Option<f64> = None;
-    let mut max_extend_secs: Option<f64> = None;
-    let parse_pct = |v: &str| -> f64 {
-        v.parse()
-            .unwrap_or_else(|_| usage_exit(&format!("bad percentage `{v}`")))
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--max-regression" {
-            let Some(v) = args.next() else {
-                usage_exit("--max-regression needs a value")
-            };
-            max_regression_pct = parse_pct(&v);
-        } else if let Some(v) = arg.strip_prefix("--max-regression=") {
-            max_regression_pct = parse_pct(v);
-        } else if arg == "--max-memory-regression" {
-            let Some(v) = args.next() else {
-                usage_exit("--max-memory-regression needs a value")
-            };
-            max_memory_regression_pct = Some(parse_pct(&v));
-        } else if let Some(v) = arg.strip_prefix("--max-memory-regression=") {
-            max_memory_regression_pct = Some(parse_pct(v));
-        } else if arg == "--max-peak-regression" {
-            let Some(v) = args.next() else {
-                usage_exit("--max-peak-regression needs a value")
-            };
-            max_peak_regression_pct = Some(parse_pct(&v));
-        } else if let Some(v) = arg.strip_prefix("--max-peak-regression=") {
-            max_peak_regression_pct = Some(parse_pct(v));
-        } else if arg == "--min-records-per-sec" {
-            let Some(v) = args.next() else {
-                usage_exit("--min-records-per-sec needs a value")
-            };
-            min_records_per_sec = Some(parse_pct(&v));
-        } else if let Some(v) = arg.strip_prefix("--min-records-per-sec=") {
-            min_records_per_sec = Some(parse_pct(v));
-        } else if arg == "--max-analysis-total-secs" {
-            let Some(v) = args.next() else {
-                usage_exit("--max-analysis-total-secs needs a value")
-            };
-            max_analysis_total_secs = Some(parse_pct(&v));
-        } else if let Some(v) = arg.strip_prefix("--max-analysis-total-secs=") {
-            max_analysis_total_secs = Some(parse_pct(v));
-        } else if arg == "--max-extend-secs" {
-            let Some(v) = args.next() else {
-                usage_exit("--max-extend-secs needs a value")
-            };
-            max_extend_secs = Some(parse_pct(&v));
-        } else if let Some(v) = arg.strip_prefix("--max-extend-secs=") {
-            max_extend_secs = Some(parse_pct(v));
-        } else {
-            paths.push(arg);
-        }
-    }
-    let [baseline_path, current_path] = paths.as_slice() else {
-        usage_exit("expected exactly two documents");
-    };
-    let baseline = load(baseline_path);
-    let current = load(current_path);
-
+fn print_figure_diff(baseline: &Json, current: &Json) {
     println!("== per-figure analysis wall (baseline -> current) ==");
-    let base_figs = figure_walls(&baseline);
-    let cur_figs = figure_walls(&current);
+    let base_figs = figure_walls(baseline);
+    let cur_figs = figure_walls(current);
     for (id, cur_wall) in &cur_figs {
         match base_figs.iter().find(|(b, _)| b == id) {
             Some((_, base_wall)) => {
@@ -207,230 +208,151 @@ fn main() {
             println!("{id:>10}  {base_wall:>10.4}s -> (gone)");
         }
     }
+}
 
-    println!("\n== engine phases (current) ==");
-    for phase in ["index", "passes", "total"] {
-        if let Some(wall) = number_at(&current, &format!("analysis.phases.{phase}")) {
-            println!("{phase:>10}  {wall:>10.4}s");
+fn main() {
+    let mut paths = Vec::new();
+    let mut gates = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--gate" {
+            let Some(spec) = args.next() else {
+                usage_exit("--gate needs a value")
+            };
+            match Gate::parse(&spec) {
+                Ok(gate) => gates.push(gate),
+                Err(e) => usage_exit(&format!("bad --gate: {e}")),
+            }
+        } else if arg.starts_with("--") {
+            usage_exit(&format!("unknown option `{arg}`"));
+        } else {
+            paths.push(arg);
         }
     }
-
-    let Some(base_total) = total_analysis_wall(&baseline) else {
-        usage_exit(&format!("{baseline_path} has no analysis timing section"));
+    let [baseline_path, current_path] = paths.as_slice() else {
+        usage_exit("expected exactly two documents");
     };
-    let Some(cur_total) = total_analysis_wall(&current) else {
-        usage_exit(&format!("{current_path} has no analysis timing section"));
-    };
-    let delta = cur_total - base_total;
-    let pct = if base_total > 0.0 {
-        100.0 * delta / base_total
-    } else {
-        0.0
-    };
-    println!("\ntotal analysis wall: {base_total:.4}s -> {cur_total:.4}s ({pct:+.1}%)");
+    let baseline = load(baseline_path);
+    let current = load(current_path);
 
-    let mut failed = false;
-    if pct > max_regression_pct && delta > NOISE_FLOOR_SECS {
-        eprintln!(
-            "FAIL: total analysis wall regressed {pct:.1}% \
-             (limit {max_regression_pct:.0}%, floor {NOISE_FLOOR_SECS}s)"
-        );
-        failed = true;
+    print_figure_diff(&baseline, &current);
+    println!("\n== gates ==");
+    let mut failed = 0;
+    for gate in &gates {
+        let (pass, line) = gate.check(&baseline, &current);
+        println!("{} {line}", if pass { "ok  " } else { "FAIL" });
+        failed += usize::from(!pass);
+    }
+    let reused = number_at(&current, "analysis.incremental.days_reused");
+    let computed = number_at(&current, "analysis.incremental.days_computed");
+    if let (Some(reused), Some(computed)) = (reused, computed) {
+        println!("incremental days: {reused:.0} reused, {computed:.0} computed");
     }
 
-    // Memory gate: store bytes are deterministic for a given config, so
-    // the budget applies without a noise floor. A baseline without the
-    // field (schema v1) or with a zero footprint (uninstrumented) can't
-    // be compared and skips the gate with a notice.
-    if let Some(limit_pct) = max_memory_regression_pct {
-        let base_bytes = number_at(&baseline, "sim.store_bytes");
-        let cur_bytes = number_at(&current, "sim.store_bytes");
-        match (base_bytes, cur_bytes) {
-            (Some(base), Some(cur)) if base > 0.0 => {
-                let mem_pct = 100.0 * (cur - base) / base;
-                println!("store bytes: {:.0} -> {:.0} ({mem_pct:+.1}%)", base, cur);
-                if mem_pct > limit_pct {
-                    eprintln!(
-                        "FAIL: sim.store_bytes regressed {mem_pct:.1}% \
-                         (limit {limit_pct:.0}%)"
-                    );
-                    failed = true;
-                }
-            }
-            _ => println!(
-                "store bytes: baseline has no usable sim.store_bytes \
-                 (pre-v2 schema or uninstrumented); memory gate skipped"
-            ),
-        }
-    }
-
-    // Actioning-sweep gate: the Figure-11 trie sweep's wall (schema v4).
-    // Timing, so the noise floor applies like the total-wall gate; it
-    // shares the same percentage budget. A pre-v4 baseline skips with a
-    // notice.
-    {
-        let base_sweep = number_at(&baseline, "actioning_sweep.total_wall_secs");
-        let cur_sweep = number_at(&current, "actioning_sweep.total_wall_secs");
-        match (base_sweep, cur_sweep) {
-            (Some(base), Some(cur)) => {
-                let sweep_delta = cur - base;
-                let sweep_pct = if base > 0.0 {
-                    100.0 * sweep_delta / base
-                } else {
-                    0.0
-                };
-                println!("actioning sweep wall: {base:.4}s -> {cur:.4}s ({sweep_pct:+.1}%)");
-                if sweep_pct > max_regression_pct && sweep_delta > NOISE_FLOOR_SECS {
-                    eprintln!(
-                        "FAIL: actioning_sweep.total_wall_secs regressed {sweep_pct:.1}% \
-                         (limit {max_regression_pct:.0}%, floor {NOISE_FLOOR_SECS}s)"
-                    );
-                    failed = true;
-                }
-            }
-            _ => println!(
-                "actioning sweep wall: baseline has no actioning_sweep section \
-                 (pre-v4 schema); sweep gate skipped"
-            ),
-        }
-    }
-
-    // Storage-verification diff (schema v5): informational only — the
-    // bytes verified at merge time are deterministic per config, so a
-    // change is worth seeing in CI logs, but it is not a regression gate.
-    // A pre-v5 baseline skips with a notice.
-    {
-        let base_verified = number_at(&baseline, "sim.spill_bytes_verified");
-        let cur_verified = number_at(&current, "sim.spill_bytes_verified");
-        match (base_verified, cur_verified) {
-            (Some(base), Some(cur)) => {
-                println!("spill bytes verified: {base:.0} -> {cur:.0}");
-            }
-            _ => println!(
-                "spill bytes verified: baseline has no sim.spill_bytes_verified \
-                 (pre-v5 schema); storage diff skipped"
-            ),
-        }
-    }
-
-    // Peak-memory gate: like the store gate, deterministic hence no noise
-    // floor. This is the out-of-core pipeline's flat-memory proof — the
-    // current run may be vastly larger than the baseline, yet its
-    // sim-phase high-water must stay within the budget.
-    if let Some(limit_pct) = max_peak_regression_pct {
-        let base_peak = number_at(&baseline, "sim.peak_store_bytes");
-        let cur_peak = number_at(&current, "sim.peak_store_bytes");
-        match (base_peak, cur_peak) {
-            (Some(base), Some(cur)) if base > 0.0 => {
-                let peak_pct = 100.0 * (cur - base) / base;
-                println!(
-                    "peak store bytes: {:.0} -> {:.0} ({peak_pct:+.1}%)",
-                    base, cur
-                );
-                if peak_pct > limit_pct {
-                    eprintln!(
-                        "FAIL: sim.peak_store_bytes regressed {peak_pct:.1}% \
-                         (limit {limit_pct:.0}%)"
-                    );
-                    failed = true;
-                }
-            }
-            _ => println!(
-                "peak store bytes: baseline has no usable sim.peak_store_bytes \
-                 (pre-v3 schema or uninstrumented); peak gate skipped"
-            ),
-        }
-    }
-
-    // Absolute throughput floor (schema v6): gates the current document
-    // alone. Deliberately no noise floor — the target value itself is
-    // chosen with the noise margin built in (the CI lane documents its
-    // policy), so a run below the floor is a real miss, not a blip.
-    if let Some(floor) = min_records_per_sec {
-        match number_at(&current, "analysis.records_per_sec") {
-            Some(rate) => {
-                println!("analysis scan rate: {rate:.0} records/sec (floor {floor:.0})");
-                if rate < floor {
-                    eprintln!(
-                        "FAIL: analysis.records_per_sec {rate:.0} is below \
-                         the {floor:.0} records/sec floor"
-                    );
-                    failed = true;
-                }
-            }
-            None => {
-                eprintln!(
-                    "FAIL: --min-records-per-sec given but {current_path} has no \
-                     analysis.records_per_sec (pre-v6 schema or uninstrumented)"
-                );
-                failed = true;
-            }
-        }
-        if let Some(rate) = number_at(&current, "analysis.index_records_per_sec") {
-            println!("index build rate: {rate:.0} records/sec");
-        }
-    }
-
-    // Absolute wall ceiling (schema v6): the engine's total phase must
-    // finish within the target regardless of what the baseline did.
-    if let Some(ceiling) = max_analysis_total_secs {
-        match number_at(&current, "analysis.phases.total") {
-            Some(total) if total > 0.0 => {
-                println!("analysis total wall: {total:.4}s (ceiling {ceiling:.4}s)");
-                if total > ceiling {
-                    eprintln!(
-                        "FAIL: analysis.phases.total {total:.4}s exceeds \
-                         the {ceiling:.4}s ceiling"
-                    );
-                    failed = true;
-                }
-            }
-            _ => {
-                eprintln!(
-                    "FAIL: --max-analysis-total-secs given but {current_path} has \
-                     no analysis.phases.total"
-                );
-                failed = true;
-            }
-        }
-    }
-
-    // Incremental-engine gate (schema v7): the wall of a whole state-dir
-    // resume. Absolute target on the current document, no noise floor —
-    // the lane's chosen ceiling encodes the margin. The reuse split is
-    // printed whenever the section exists, gated or not.
-    {
-        let reused = number_at(&current, "analysis.incremental.days_reused");
-        let computed = number_at(&current, "analysis.incremental.days_computed");
-        if let (Some(reused), Some(computed)) = (reused, computed) {
-            println!("incremental days: {reused:.0} reused, {computed:.0} computed");
-        }
-    }
-    if let Some(ceiling) = max_extend_secs {
-        match number_at(&current, "analysis.incremental.extend_wall_secs") {
-            Some(wall) => {
-                println!("incremental extend wall: {wall:.4}s (ceiling {ceiling:.4}s)");
-                if wall > ceiling {
-                    eprintln!(
-                        "FAIL: analysis.incremental.extend_wall_secs {wall:.4}s \
-                         exceeds the {ceiling:.4}s ceiling"
-                    );
-                    failed = true;
-                }
-            }
-            None => {
-                eprintln!(
-                    "FAIL: --max-extend-secs given but {current_path} has no \
-                     analysis.incremental.extend_wall_secs (pre-v7 schema or \
-                     uninstrumented)"
-                );
-                failed = true;
-            }
-        }
-    }
-
-    if failed {
+    if failed > 0 {
+        eprintln!("FAIL: {failed} of {} gate(s) failed", gates.len());
         std::process::exit(1);
     }
-    println!("OK: within the {max_regression_pct:.0}% regression budget");
+    println!("OK: {} gate(s) passed", gates.len());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A report with one number at `a.b`.
+    fn doc(v: f64) -> Json {
+        Json::obj().with("a", Json::obj().with("b", Json::num(v)))
+    }
+
+    fn passes(spec: &str, base: f64, cur: f64) -> bool {
+        Gate::parse(spec).unwrap().check(&doc(base), &doc(cur)).0
+    }
+
+    #[test]
+    fn rel_fails_only_past_both_the_percentage_and_the_floor() {
+        // +100% but only +0.04 absolute: under the 0.05 floor.
+        assert!(passes("a.b rel 25 0.05", 0.04, 0.08));
+        // +100% and +0.1 absolute: past both.
+        assert!(!passes("a.b rel 25 0.05", 0.1, 0.2));
+        // Past the floor but within the percentage.
+        assert!(passes("a.b rel 25 0.05", 1.0, 1.2));
+        // No floor: any growth past the percentage fails.
+        assert!(passes("a.b rel 10", 1000.0, 1100.0));
+        assert!(!passes("a.b rel 10", 1000.0, 1101.0));
+        assert!(passes("a.b rel 10", 1000.0, 500.0));
+    }
+
+    #[test]
+    fn max_and_min_at_inside_and_outside_the_bound() {
+        assert!(passes("a.b max 2", 0.0, 2.0));
+        assert!(passes("a.b max 2", 0.0, 1.999));
+        assert!(!passes("a.b max 2", 0.0, 2.001));
+        assert!(passes("a.b min 10", 0.0, 10.0));
+        assert!(passes("a.b min 10", 0.0, 10.001));
+        assert!(!passes("a.b min 10", 0.0, 9.999));
+    }
+
+    #[test]
+    fn a_missing_path_fails_in_either_document() {
+        let gate = Gate::parse("a.c max 2").unwrap();
+        let (pass, line) = gate.check(&doc(1.0), &doc(1.0));
+        assert!(!pass);
+        assert!(line.contains("missing from the baseline"), "{line}");
+        let with_c = Json::obj().with("a", Json::obj().with("c", Json::num(1.0)));
+        let (pass, line) = gate.check(&with_c, &doc(1.0));
+        assert!(!pass);
+        assert!(line.contains("missing from the current run"), "{line}");
+        // A non-numeric value (a null, say) is as good as missing.
+        let null = Json::obj().with("a", Json::obj().with("c", Json::Null));
+        assert!(!gate.check(&with_c, &null).0);
+    }
+
+    #[test]
+    fn a_rel_gate_over_a_zero_baseline_fails() {
+        assert!(!passes("a.b rel 25 0.05", 0.0, 0.0));
+        assert!(!passes("a.b rel 100000", 0.0, 1.0));
+    }
+
+    #[test]
+    fn bad_specs_are_rejected() {
+        for spec in [
+            "a.b max nan",
+            "a.b max NaN",
+            "a.b max inf",
+            "a.b rel NaN",
+            "a.b min -inf",
+            "a.b rel 25 nan",
+            "a.b rel 25 inf",
+            "a.b rel 25 -0.05",
+            "a.b rel -10",
+            "a.b max banana",
+            "a.b lt 2",
+            "a.b max",
+            "a.b max 2 0.05",
+            "a.b min 1 2",
+            "a.b rel 25 0.05 7",
+            "a.b",
+            "",
+        ] {
+            assert!(Gate::parse(spec).is_err(), "accepted `{spec}`");
+        }
+    }
+
+    #[test]
+    fn good_specs_parse_to_their_rule() {
+        let gate = Gate::parse("analysis.phases.total rel 25 0.05").unwrap();
+        assert_eq!(gate.path, "analysis.phases.total");
+        assert_eq!(
+            gate.op,
+            Op::Rel {
+                pct: 25.0,
+                floor: 0.05
+            }
+        );
+        assert_eq!(gate.rule(), "rel 25% past 0.05");
+        assert_eq!(Gate::parse("x rel 10").unwrap().rule(), "rel 10%");
+        assert_eq!(Gate::parse("x max 0.89").unwrap().op, Op::Max(0.89));
+        assert_eq!(Gate::parse("x min 1e7").unwrap().op, Op::Min(1e7));
+    }
 }

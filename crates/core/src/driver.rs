@@ -72,7 +72,7 @@ use ipv6_study_behavior::population::Population;
 use ipv6_study_behavior::schedule::day_plan;
 use ipv6_study_netmodel::World;
 use ipv6_study_obs::report::rate_per_sec;
-use ipv6_study_obs::timer::{time_phase, PhaseStat};
+use ipv6_study_obs::PhaseStat;
 use ipv6_study_telemetry::spill::merge_into_frozen;
 use ipv6_study_telemetry::{
     DateRange, Families, FamilyPayload, FrozenDatasets, FrozenStore, KeyCollector, MemGauge,
@@ -667,8 +667,9 @@ pub(crate) fn simulate(
     // restricted `days` — so a suffix run routes each day exactly like
     // the full run does.
     let pair_start = windows::pair_window(config.sim_end()).start;
-    let mut phases: Vec<PhaseStat> = Vec::new();
-    let plan = time_phase(&mut phases, "plan", || plan_shards(config));
+    let t_plan = Instant::now();
+    let plan = plan_shards(config);
+    let plan_wall = t_plan.elapsed();
     let workers = config.threads.min(plan.len()).max(1);
     let policy = config.failure_policy;
     // Abort never retries: the first failure already decides the run.
@@ -853,10 +854,7 @@ pub(crate) fn simulate(
         metrics: RunMetrics {
             threads: workers,
             shards,
-            plan_wall: phases
-                .iter()
-                .find(|p| p.name == "plan")
-                .map_or(Duration::ZERO, |p| p.wall),
+            plan_wall,
             sim_wall,
             merge_wall,
             peak_store_bytes,

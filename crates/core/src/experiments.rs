@@ -34,7 +34,7 @@ use ipv6_study_analysis::user_centric::{
 };
 use ipv6_study_analysis::windows;
 use ipv6_study_analysis::{CdfSeries, DatasetIndex, FigureReport, IndexMode, TableReport};
-use ipv6_study_obs::timer::PhaseStat;
+use ipv6_study_obs::PhaseStat;
 use ipv6_study_obs::{ActioningStat, SweepStat};
 use ipv6_study_secapp::actioning::{
     actioning_roc_between, operating_points, DayCounts, Granularity,
@@ -1438,9 +1438,8 @@ fn run_registry(
 /// `config.effective_analysis_threads()` workers.
 ///
 /// When the study was run with `config.instrument`, each pass's wall
-/// clock and input cardinality land in `study.report.figures` (plus an
-/// `analysis.figure_wall` histogram in the registry), and the engine's
-/// index/passes/total walls land in `study.report.analysis_phases` —
+/// clock and input cardinality land in `study.report.figures`, and the
+/// engine's index/passes/total walls land in `study.report.analysis_phases` —
 /// extending the driver-phase report that [`Study::run`] started.
 pub fn run_all(study: &mut Study) -> Vec<(&'static str, ExperimentOutput)> {
     run_all_with(
@@ -1481,23 +1480,13 @@ pub fn run_all_with(
     let index_records = ctx.index_records();
     drop(ctx);
 
-    // Merge in registry order, so per-figure report entries and registry
-    // metrics appear exactly as a serial run would record them.
+    // Merge in registry order, so per-figure report entries appear
+    // exactly as a serial run would record them.
     let mut results = Vec::with_capacity(EXPERIMENTS.len());
     for ((id, _), (out, stat)) in EXPERIMENTS.iter().zip(outs) {
         if study.config.instrument {
-            study
-                .report
-                .registry
-                .record_duration("analysis.figure_wall", stat.wall);
             study.report.figures.push(stat);
-            for a in &out.actioning {
-                study
-                    .report
-                    .registry
-                    .record_duration("actioning.roc_wall", a.wall);
-                study.report.actioning.push(a.clone());
-            }
+            study.report.actioning.extend(out.actioning.iter().cloned());
             if let Some(sweep) = &out.sweep {
                 study.report.actioning_sweep = sweep.clone();
             }
@@ -1514,10 +1503,6 @@ pub fn run_all_with(
             phase("passes", passes_wall),
             phase("total", t_total.elapsed()),
         ];
-        study
-            .report
-            .registry
-            .set_gauge("analysis.index_bytes", index_bytes as f64);
         study.report.index_bytes = index_bytes as u64;
         study.report.index_records = index_records;
     }

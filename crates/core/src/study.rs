@@ -135,7 +135,7 @@ impl Study {
         approx_users: u64,
         out: DriverOutput,
     ) -> Self {
-        let report = build_report(&config, approx_users, &out);
+        let report = build_report(&config, &out);
         Self {
             config,
             world,
@@ -357,14 +357,9 @@ pub(crate) fn open_session(config: &StudyConfig) -> Result<SpillSession, StudyEr
 }
 
 /// Converts the driver's output into the run's [`RunReport`]: phase
-/// walls, per-shard stats, fault and storage stats, a config echo, and
-/// registry aggregates. Returns an empty (disabled) report when
-/// instrumentation is off.
-pub(crate) fn build_report(
-    config: &StudyConfig,
-    approx_users: u64,
-    out: &DriverOutput,
-) -> RunReport {
+/// walls, per-shard stats, fault and storage stats, and a config echo.
+/// Returns an empty (disabled) report when instrumentation is off.
+pub(crate) fn build_report(config: &StudyConfig, out: &DriverOutput) -> RunReport {
     let metrics = &out.metrics;
     let faults = &out.faults;
     let retained = out.datasets.retained();
@@ -438,9 +433,6 @@ pub(crate) fn build_report(
             wall: s.wall,
         })
         .collect();
-    for s in &report.shards {
-        report.registry.record_duration("sim.shard_wall", s.wall);
-    }
     report.faults = faults
         .failures
         .iter()
@@ -458,63 +450,15 @@ pub(crate) fn build_report(
     report.io_retries = faults.io_retries;
     report.checksum_failures = faults.checksum_failures;
     report.spill_bytes_verified = out.spill_stats.bytes_verified;
-    // Fault counters are recorded unconditionally (zero on clean runs) so
-    // every report exposes the same metric set.
-    report
-        .registry
-        .inc("sim.shard_failures", faults.failures.len() as u64);
-    report
-        .registry
-        .inc("sim.shard_retries_total", faults.total_retries());
-    report
-        .registry
-        .inc("sim.shards_dropped", faults.dropped_count() as u64);
-    report
-        .registry
-        .inc("sim.records_lost", faults.records_lost());
-    report.registry.inc("sim.io_retries", faults.io_retries);
-    report
-        .registry
-        .inc("sim.checksum_failures", faults.checksum_failures);
-    report.registry.set_gauge(
-        "sim.spill_bytes_verified",
-        out.spill_stats.bytes_verified as f64,
-    );
-    for f in &faults.failures {
-        report
-            .registry
-            .record_value("sim.shard_retries", u64::from(f.retries()));
-    }
-    report
-        .registry
-        .inc("sim.records_total", metrics.total_records());
-    report
-        .registry
-        .inc("sim.shards", metrics.shards.len() as u64);
-    report.registry.inc("sim.records_retained", retained);
-    report
-        .registry
-        .set_gauge("sim.approx_users", approx_users as f64);
-    report
-        .registry
-        .set_gauge("sim.records_per_sec", metrics.records_per_sec());
-    report
-        .registry
-        .set_gauge("sim.store_bytes", store_bytes as f64);
-    report
-        .registry
-        .set_gauge("sim.peak_store_bytes", metrics.peak_store_bytes as f64);
     let bytes_per_record = if stored_records == 0 {
         0.0
     } else {
         store_bytes as f64 / stored_records as f64
     };
-    report
-        .registry
-        .set_gauge("sim.bytes_per_record", bytes_per_record);
     report.store_bytes = store_bytes;
     report.bytes_per_record = bytes_per_record;
     report.peak_store_bytes = metrics.peak_store_bytes;
+    report.records_retained = retained;
     report
 }
 

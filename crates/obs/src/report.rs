@@ -10,8 +10,6 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use crate::json::Json;
-use crate::metrics::Registry;
-use crate::timer::PhaseStat;
 
 /// Schema version of the serialized report; bump on breaking changes.
 /// v2 added the memory-footprint fields: `sim.store_bytes`,
@@ -29,8 +27,11 @@ use crate::timer::PhaseStat;
 /// added the incremental-engine section `analysis.incremental.{
 /// days_reused, days_computed, extend_wall_secs}` — always present: a
 /// from-scratch run reports every simulated day as computed and none
-/// reused.
-pub const SCHEMA_VERSION: u64 = 7;
+/// reused. v8 removed the `metrics` section (counters, gauges and
+/// histograms that repeated the typed fields, plus `sim.approx_users`,
+/// which the config echo's `households` determines) and added
+/// `sim.records_retained`, its one number stored nowhere else.
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// Throughput over a wall-clock window, `0.0` for an empty window.
 ///
@@ -44,6 +45,15 @@ pub fn rate_per_sec(items: u64, wall: Duration) -> f64 {
     } else {
         0.0
     }
+}
+
+/// One completed phase: name and wall clock.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PhaseStat {
+    /// Phase name, e.g. `"sim"`.
+    pub name: String,
+    /// Wall clock the phase took.
+    pub wall: Duration,
 }
 
 /// Timing and throughput of one simulation shard.
@@ -202,9 +212,8 @@ pub struct RunReport {
     pub spill_bytes_verified: u64,
     /// Peak heap bytes of the frozen telemetry stores (all column stores
     /// plus the shared intern tables, counted once). Zero when
-    /// uninstrumented. Serialized as `sim.store_bytes` — a plain field
-    /// (not only a gauge) so `bench_diff`'s dotted-path lookup can
-    /// address it.
+    /// uninstrumented. Serialized as `sim.store_bytes`, the path
+    /// `bench_diff`'s memory gate addresses.
     pub store_bytes: u64,
     /// `store_bytes` per stored record (`0.0` on an empty run).
     pub bytes_per_record: f64,
@@ -222,11 +231,13 @@ pub struct RunReport {
     /// `analysis.index_records` in the JSON). Zero until the analyses
     /// run.
     pub index_records: u64,
+    /// Sampled rows the frozen datasets retained (request, user, IP and
+    /// per-length prefix samples; `sim.records_retained` in the JSON).
+    /// Zero when uninstrumented.
+    pub records_retained: u64,
     /// Incremental-engine accounting (`analysis.incremental` in the
     /// JSON); a from-scratch run reports all days computed, none reused.
     pub incremental: IncrementalStat,
-    /// Free-form counters/gauges/histograms recorded along the way.
-    pub registry: Registry,
 }
 
 impl RunReport {
@@ -285,7 +296,7 @@ impl RunReport {
 
     /// Aggregate analysis scan throughput: scanned records over the
     /// engine's `total` phase wall — the number the 10× CI lane floors
-    /// with `bench_diff --min-records-per-sec` (`0.0` when unmeasured).
+    /// with a `bench_diff` `min` gate (`0.0` when unmeasured).
     pub fn analysis_records_per_sec(&self) -> f64 {
         rate_per_sec(
             self.analysis_scanned_records(),
@@ -401,6 +412,7 @@ impl RunReport {
                     .with("phases", phases)
                     .with("shards", shards)
                     .with("total_records", Json::UInt(self.total_records()))
+                    .with("records_retained", Json::UInt(self.records_retained))
                     .with("records_per_sec", Json::num(self.records_per_sec()))
                     .with("store_bytes", Json::UInt(self.store_bytes))
                     .with("bytes_per_record", Json::num(self.bytes_per_record))
@@ -464,7 +476,6 @@ impl RunReport {
                     .with("trie_nodes", Json::UInt(self.actioning_sweep.trie_nodes)),
             )
             .with("faults", faults)
-            .with("metrics", self.registry.to_json())
     }
 
     /// The pretty-printed JSON document written to `BENCH_run.json`.
@@ -628,7 +639,7 @@ mod tests {
                 wall: Duration::from_millis(12),
             },
         ];
-        r.registry.inc("sim.records_total", 5000);
+        r.records_retained = 2000;
         r.store_bytes = 90_000;
         r.bytes_per_record = 18.0;
         r.peak_store_bytes = 120_000;
@@ -729,12 +740,13 @@ mod tests {
             "\"io_retries\"",
             "\"checksum_failures\"",
             "\"spill_bytes_verified\"",
-            "\"metrics\"",
+            "\"records_retained\"",
         ] {
             assert!(text.contains(key), "missing {key} in {text}");
         }
         assert!(!text.contains("Infinity"));
         assert!(!text.contains("NaN"));
+        assert!(!text.contains("\"metrics\""), "v8 has no metrics section");
     }
 
     #[test]

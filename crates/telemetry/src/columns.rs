@@ -85,7 +85,7 @@ impl ColumnStore {
     }
 
     /// Heap bytes held by the columns (capacity, not just length — this is
-    /// what the `sim.store_bytes` gauge reports).
+    /// what the report's `sim.store_bytes` field sums).
     pub fn bytes(&self) -> usize {
         self.ts.capacity() * std::mem::size_of::<Timestamp>()
             + self.ip.capacity() * std::mem::size_of::<IpId>()

@@ -9,6 +9,7 @@
 //!    datasets.
 
 use ipv6_user_study::experiments::run_all;
+use ipv6_user_study::obs::Json;
 use ipv6_user_study::stats::hash::StableHasher;
 use ipv6_user_study::telemetry::ColumnSlice;
 use ipv6_user_study::{Study, StudyConfig};
@@ -40,6 +41,7 @@ const REQUIRED_PATHS: &[&str] = &[
     "$.sim.shards[].wall_secs",
     "$.sim.shards[].records_per_sec",
     "$.sim.total_records",
+    "$.sim.records_retained",
     "$.sim.records_per_sec",
     "$.sim.store_bytes",
     "$.sim.bytes_per_record",
@@ -69,14 +71,6 @@ const REQUIRED_PATHS: &[&str] = &[
     "$.actioning_sweep.total_wall_secs",
     "$.actioning_sweep.days",
     "$.actioning_sweep.trie_nodes",
-    "$.metrics.counters.sim.records_total",
-    "$.metrics.gauges.sim.records_per_sec",
-    "$.metrics.gauges.sim.store_bytes",
-    "$.metrics.gauges.sim.bytes_per_record",
-    "$.metrics.gauges.sim.peak_store_bytes",
-    "$.metrics.gauges.analysis.index_bytes",
-    "$.metrics.histograms.analysis.figure_wall.count",
-    "$.metrics.histograms.sim.shard_wall.count",
     "$.config.failure_policy",
     "$.config.max_shard_retries",
     "$.config.storage",
@@ -91,13 +85,6 @@ const REQUIRED_PATHS: &[&str] = &[
     "$.faults.checksum_failures",
     "$.sim.spill_bytes_verified",
     "$.config.disk_budget_bytes",
-    "$.metrics.counters.sim.shard_failures",
-    "$.metrics.counters.sim.shard_retries_total",
-    "$.metrics.counters.sim.shards_dropped",
-    "$.metrics.counters.sim.records_lost",
-    "$.metrics.counters.sim.io_retries",
-    "$.metrics.counters.sim.checksum_failures",
-    "$.metrics.gauges.sim.spill_bytes_verified",
 ];
 
 /// The per-shard fault fields, present whenever a shard failed (pinned by
@@ -111,7 +98,6 @@ const FAULT_SHARD_PATHS: &[&str] = &[
     "$.faults.failed_shards[].records_lost",
     "$.faults.failed_shards[].kind",
     "$.faults.failed_shards[].panic_msg",
-    "$.metrics.value_histograms.sim.shard_retries.count",
 ];
 
 #[test]
@@ -125,6 +111,18 @@ fn bench_report_schema_is_stable_and_finite() {
             "missing {required} in schema: {paths:#?}"
         );
     }
+    // Schema v8 stores every number once: the `metrics` section, which
+    // repeated the typed fields, is gone.
+    assert_eq!(json.get("schema_version"), Some(&Json::UInt(8)));
+    assert!(
+        !paths.iter().any(|p| p.starts_with("$.metrics")),
+        "v8 has no metrics section: {paths:#?}"
+    );
+    assert_eq!(
+        json.get("sim").and_then(|sim| sim.get("records_retained")),
+        Some(&Json::UInt(study.datasets().retained())),
+        "sim.records_retained counts the frozen sampled rows"
+    );
 
     // Values vary run to run; the field set must not.
     let again = instrumented_tiny_run();
